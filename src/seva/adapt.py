@@ -2,20 +2,27 @@
 
 One engine owns one network for one streaming pass. Per batch it predicts
 (before any update), scores each sample with the method's loss, applies
-the method's selection rule, and takes one SGD-with-momentum step on the
-mean loss of the selected samples. Methods:
+the method's selection rule, and, iff at least one sample was selected,
+applies the method's update rule to the selected samples. A method kind
+is one row of ``RECIPES``:
 
-* ``seva``            -- augmented-entropy loss, selection by the same loss
-* ``tent``            -- plain entropy loss on every sample, no selection
-* ``entropy_select``  -- entropy loss, selection by an entropy threshold
-* ``explicit_va``     -- entropy threshold selection, then ``rounds``
-                         sequential update rounds, each training on one
-                         fresh vicinal draw per selected sample
-* ``no_adapt``        -- predictions only, parameters never change
+==================  =================  ===============  =======================
+kind                loss               selection        update
+==================  =================  ===============  =======================
+``seva``            augmented entropy  loss < rho ln C  one step
+``tent``            entropy            all              one step
+``entropy_select``  entropy            loss < rho ln C  one step
+``explicit_va``     entropy            loss < rho ln C  ``rounds`` steps, each
+                                                        a fresh forward plus one
+                                                        vicinal draw per sample
+``no_adapt``        entropy            none             none
+==================  =================  ===============  =======================
 
-Selection is strict: a sample trains only if its loss is < rho * ln(C).
-Labels never enter the engine; ``run_stream`` is the evaluator that
-compares the engine's pre-update predictions against the hidden labels.
+"One step" is one SGD-with-momentum step on the mean loss of the selected
+samples. Selection is strict: a sample trains only if its loss is
+< rho * ln(C). Labels never enter the engine; ``run_stream`` is the
+evaluator that compares the engine's pre-update predictions against the
+hidden labels.
 """
 
 from __future__ import annotations
@@ -23,19 +30,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .core_math import DiagCovariance, softmax_rows
+from .core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss, softmax_rows
 from .model import (
     ToyNetwork,
     adaptable_params,
     backward_adaptable,
     calibrate_covariance,
     forward_with_caches,
-    grad_augmented_entropy_wrt_feature_batch,
-    grad_entropy_wrt_feature_batch,
-    per_sample_loss,
     set_adaptable_params,
 )
 from .rng import substream
@@ -51,11 +56,75 @@ __all__ = [
     "select",
     "threshold_default",
     "sgd_momentum_step",
-    "adapt_step",
     "run_stream",
 ]
 
-METHOD_KINDS = ("seva", "tent", "entropy_select", "explicit_va", "no_adapt")
+
+def _below_threshold(losses: np.ndarray, threshold: float) -> np.ndarray:
+    return losses < threshold
+
+
+def _select_all(losses: np.ndarray, threshold: float) -> np.ndarray:
+    return np.ones(losses.shape[0], dtype=bool)
+
+
+def _select_none(losses: np.ndarray, threshold: float) -> np.ndarray:
+    return np.zeros(losses.shape[0], dtype=bool)
+
+
+def _one_step(engine: "AdaptEngine", X, caches, pullback, selected, n_selected: int) -> None:
+    d_feat = pullback()
+    d_feat[~selected] = 0.0
+    grads = backward_adaptable(engine.net, caches, d_feat / n_selected)
+    engine.counters.n_backward += n_selected
+    engine._optimizer_step(grads)
+
+
+def _vicinal_rounds(engine: "AdaptEngine", X, caches, pullback, selected, n_selected: int) -> None:
+    std = np.sqrt(engine.sigma.variances)
+    X_sel = X[selected]
+    for _ in range(engine.method.rounds):
+        f_sel, c_sel = forward_with_caches(engine.net, X_sel)
+        engine.counters.n_forward += n_selected
+        noisy = f_sel + engine._va_rng.standard_normal(f_sel.shape) * std[None, :]
+        _, noisy_pullback = engine.loss.value_and_pullback(noisy)
+        grads = backward_adaptable(engine.net, c_sel, noisy_pullback() / n_selected)
+        engine.counters.n_backward += n_selected
+        engine._optimizer_step(grads)
+
+
+def _entropy(head, sigma) -> EntropyLoss:
+    return EntropyLoss(head)
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """What a method kind does with a batch.
+
+    ``loss`` builds the loss object from (head, covariance); ``select``
+    maps (per-sample losses, threshold) to a boolean mask; ``update``
+    trains on the selected samples (None: the method never updates, so its
+    selection must be empty). ``needs_sigma`` says the method cannot run
+    before the covariance is calibrated; ``has_rounds`` says it honours
+    ``MethodConfig.rounds``.
+    """
+
+    loss: Callable
+    select: Callable[[np.ndarray, float], np.ndarray]
+    update: Callable | None
+    needs_sigma: bool = False
+    has_rounds: bool = False
+
+
+RECIPES = {
+    "seva": Recipe(AugmentedEntropyLoss, _below_threshold, _one_step, needs_sigma=True),
+    "tent": Recipe(_entropy, _select_all, _one_step),
+    "entropy_select": Recipe(_entropy, _below_threshold, _one_step),
+    "explicit_va": Recipe(_entropy, _below_threshold, _vicinal_rounds, needs_sigma=True, has_rounds=True),
+    "no_adapt": Recipe(_entropy, _select_none, None),
+}
+
+METHOD_KINDS = tuple(RECIPES)
 
 
 @dataclass(frozen=True)
@@ -64,7 +133,7 @@ class MethodConfig:
 
     threshold_rho scales the selection boundary rho * ln(C); sigma_scale
     multiplies the calibrated feature variances; rounds is the number of
-    explicit augmentation rounds (explicit_va only).
+    update rounds (1 unless the kind's recipe has rounds).
     """
 
     kind: str
@@ -75,22 +144,25 @@ class MethodConfig:
     rounds: int = 1
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in RECIPES:
             raise ValueError(f"unknown method kind '{self.kind}'")
-        if self.kind != "no_adapt" and not self.lr > 0:
+        recipe = self.recipe
+        if recipe.update is not None and not self.lr > 0:
             raise ValueError(f"lr must be > 0 for method '{self.kind}', got {self.lr}")
-        if self.kind == "explicit_va" and self.rounds < 1:
-            raise ValueError(f"explicit_va needs rounds >= 1, got {self.rounds}")
+        if recipe.has_rounds and self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1 for method '{self.kind}', got {self.rounds}")
+        if not recipe.has_rounds and self.rounds != 1:
+            raise ValueError(f"rounds must be 1 for method '{self.kind}', which has no rounds; got {self.rounds}")
         if not self.threshold_rho > 0:
             raise ValueError(f"threshold_rho must be > 0, got {self.threshold_rho}")
 
     @property
-    def needs_sigma(self) -> bool:
-        return self.kind in ("seva", "explicit_va")
+    def recipe(self) -> Recipe:
+        return RECIPES[self.kind]
 
     @property
-    def loss_kind(self) -> str:
-        return "augmented_entropy" if self.kind == "seva" else "entropy"
+    def needs_sigma(self) -> bool:
+        return self.recipe.needs_sigma
 
 
 @dataclass
@@ -150,7 +222,7 @@ class RunTrace:
 
 def select(loss_value: float, threshold: float) -> bool:
     """Train on a sample iff its loss is strictly below the boundary."""
-    return bool(loss_value < threshold)
+    return bool(_below_threshold(loss_value, threshold))
 
 
 def threshold_default(C: int, rho: float) -> float:
@@ -182,7 +254,11 @@ def sgd_momentum_step(
 
 
 class AdaptEngine:
-    """Owns one network, one optimizer state, and one method for a run."""
+    """Owns one network, one optimizer state, and one method for a run.
+
+    The covariance enters only through ``sigma=`` or ``calibrate()``; either
+    one builds the method's loss object, which then scores every batch.
+    """
 
     def __init__(
         self,
@@ -193,22 +269,26 @@ class AdaptEngine:
     ):
         self.net = net
         self.method = method
-        self.sigma = sigma
         self.threshold = threshold_default(net.head.n_classes, method.threshold_rho)
         self.opt_state = OptimizerState.zeros_like(adaptable_params(net))
         self.counters = Counters()
         self._va_rng = substream(seed, "vicinal-rounds")
+        self._set_sigma(sigma)
+
+    @property
+    def sigma(self) -> DiagCovariance | None:
+        return self._sigma
+
+    def _set_sigma(self, sigma: DiagCovariance | None) -> None:
+        self._sigma = sigma
+        recipe = self.method.recipe
+        self.loss = None if sigma is None and recipe.needs_sigma else recipe.loss(self.net.head, sigma)
 
     def calibrate(self, inputs) -> DiagCovariance:
         """Fix the vicinal covariance from a calibration batch (pre-adaptation)."""
         inputs = np.asarray(inputs, dtype=np.float64)
-        self.sigma = calibrate_covariance(self.net, inputs, self.method.sigma_scale)
+        self._set_sigma(calibrate_covariance(self.net, inputs, self.method.sigma_scale))
         self.counters.n_calibration_forward += inputs.shape[0]
-        return self.sigma
-
-    def _require_sigma(self) -> DiagCovariance:
-        if self.sigma is None:
-            raise RuntimeError(f"method '{self.method.kind}' requires calibration first")
         return self.sigma
 
     def _optimizer_step(self, grads: np.ndarray) -> None:
@@ -226,68 +306,30 @@ class AdaptEngine:
             X = X[None, :]
         if X.shape[0] == 0:
             raise ValueError("empty batch")
+        if self.loss is None:
+            raise RuntimeError(f"method '{self.method.kind}' requires calibration first")
         t0 = time.perf_counter()
-        kind = self.method.kind
-        n = X.shape[0]
+        recipe = self.method.recipe
 
         feats, caches = forward_with_caches(self.net, X)
-        self.counters.n_forward += n
+        self.counters.n_forward += X.shape[0]
         head = self.net.head
         probs = softmax_rows(feats @ head.weights.T + head.biases)
-        predicted = probs.argmax(axis=1)
-        confidence = probs.max(axis=1)
-
-        if kind == "seva":
-            losses = per_sample_loss(self.net, feats, "augmented_entropy", self._require_sigma())
-        else:
-            losses = per_sample_loss(self.net, feats, "entropy")
-
-        if kind == "tent":
-            selected = np.ones(n, dtype=bool)
-        elif kind == "no_adapt":
-            selected = np.zeros(n, dtype=bool)
-        else:
-            selected = losses < self.threshold
-
+        losses, pullback = self.loss.value_and_pullback(feats)
+        selected = recipe.select(losses, self.threshold)
         n_selected = int(selected.sum())
-        updated = False
-        if kind in ("seva", "tent", "entropy_select") and n_selected > 0:
-            if kind == "seva":
-                d_feat = grad_augmented_entropy_wrt_feature_batch(head, feats, self.sigma)
-            else:
-                d_feat = grad_entropy_wrt_feature_batch(head, feats)
-            d_feat[~selected] = 0.0
-            grads = backward_adaptable(self.net, caches, d_feat / n_selected)
-            self.counters.n_backward += n_selected
-            self._optimizer_step(grads)
-            updated = True
-        elif kind == "explicit_va" and n_selected > 0:
-            sigma = self._require_sigma()
-            std = np.sqrt(sigma.variances)
-            X_sel = X[selected]
-            for _ in range(self.method.rounds):
-                f_sel, c_sel = forward_with_caches(self.net, X_sel)
-                self.counters.n_forward += n_selected
-                noisy = f_sel + self._va_rng.standard_normal(f_sel.shape) * std[None, :]
-                d_feat = grad_entropy_wrt_feature_batch(head, noisy)
-                grads = backward_adaptable(self.net, c_sel, d_feat / n_selected)
-                self.counters.n_backward += n_selected
-                self._optimizer_step(grads)
-            updated = True
+        if n_selected > 0:
+            recipe.update(self, X, caches, pullback, selected, n_selected)
 
         return StepReport(
             losses=losses,
             selected=selected,
-            predicted=predicted,
-            confidence=confidence,
+            predicted=probs.argmax(axis=1),
+            confidence=probs.max(axis=1),
             n_selected=n_selected,
-            updated=updated,
+            updated=n_selected > 0,
             step_wall_time=time.perf_counter() - t0,
         )
-
-
-def adapt_step(engine: AdaptEngine, batch) -> StepReport:
-    return engine.adapt_step(batch)
 
 
 def run_stream(engine: AdaptEngine, stream) -> RunTrace:

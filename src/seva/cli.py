@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, resolve_config
 from .runner import (
     execute_ablate,
     execute_run,
@@ -67,9 +67,7 @@ def _resolve_out_dir(args, cfg: RunConfig) -> Path:
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seeds is not None:
-        tree = dict(cfg.tree)
-        tree["seeds"] = list(range(args.seeds))
-        cfg = RunConfig(tree)
+        cfg = resolve_config(dict(cfg.tree, seeds=list(range(args.seeds))))
     return cfg
 
 

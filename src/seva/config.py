@@ -105,6 +105,14 @@ _MC_DEFAULTS = {
     "sigma_scale": 1.5,
 }
 
+# A leaf accepts the exact types listed for its default's type: an int
+# where a float is expected, never the reverse, and a bool nowhere (lists
+# are checked by resolve_config).
+_LEAF_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str,)}
+
+# Leaves that may be null: an unnamed method, and an unbounded threshold.
+_NULLABLE = ("name", "threshold_rho")
+
 _TOP_DEFAULTS = {
     "master_seed": 0,
     "seeds": [0],
@@ -146,13 +154,43 @@ def _merge(raw, defaults, path):
                 _merge(e, _CORRUPTION_SPEC_DEFAULTS, f"{sub_path}[{i}]") for i, e in enumerate(entries)
             ]
         else:
-            out[key] = raw.get(key, default)
+            value = raw.get(key, default)
+            if type(value) is not type(default) and not _leaf_type_ok(key, value, default):
+                raise ConfigError(
+                    f"invalid type for '{sub_path}': expected {_LEAF_TYPES[type(default)][-1].__name__}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
+            out[key] = value
     return out
+
+
+def _leaf_type_ok(key: str, value, default) -> bool:
+    """Whether a leaf may hold a value of another type than its default."""
+    if value is None:
+        return key in _NULLABLE
+    return type(value) in _LEAF_TYPES.get(type(default), (type(value),))  # lists: see resolve_config
 
 
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"invalid value for '{key}': {message}")
+
+
+def _method_entry(i: int, m: dict) -> tuple[str, MethodConfig]:
+    name = m["name"] or f"{i:02d}_{m['kind']}"
+    rho = math.inf if m["threshold_rho"] is None else m["threshold_rho"]
+    try:
+        method = MethodConfig(
+            kind=m["kind"],
+            threshold_rho=rho,
+            sigma_scale=m["sigma_scale"],
+            lr=m["lr"],
+            momentum=m["momentum"],
+            rounds=m["rounds"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid value in 'methods[{i}]': {exc}") from exc
+    return name, method
 
 
 @dataclass(frozen=True)
@@ -198,24 +236,7 @@ class RunConfig:
         return self.tree["mc"]
 
     def methods(self) -> list[tuple[str, MethodConfig]]:
-        out = []
-        for i, m in enumerate(self.tree["methods"]):
-            name = m["name"] or f"{i:02d}_{m['kind']}"
-            rho = math.inf if m["threshold_rho"] is None else m["threshold_rho"]
-            out.append(
-                (
-                    name,
-                    MethodConfig(
-                        kind=m["kind"],
-                        threshold_rho=rho,
-                        sigma_scale=m["sigma_scale"],
-                        lr=m["lr"],
-                        momentum=m["momentum"],
-                        rounds=m["rounds"],
-                    ),
-                )
-            )
-        return out
+        return [_method_entry(i, m) for i, m in enumerate(self.tree["methods"])]
 
     def stream_spec(self, seed: int) -> StreamSpec:
         s = self.tree["stream"]
@@ -241,14 +262,19 @@ class RunConfig:
 def resolve_config(raw: dict) -> RunConfig:
     """Validate a raw tree, fill every default, and run basic sanity checks."""
     tree = _merge(raw, _TOP_DEFAULTS, "")
-    _require(isinstance(tree["master_seed"], int), "master_seed", "must be an integer")
     _require(
-        isinstance(tree["seeds"], list) and tree["seeds"] and all(isinstance(s, int) for s in tree["seeds"]),
+        isinstance(tree["seeds"], list) and tree["seeds"] and all(type(s) is int for s in tree["seeds"]),
         "seeds",
         "must be a non-empty list of integers",
     )
     _require(tree["calibration_samples"] >= 2, "calibration_samples", "must be >= 2")
     _require(tree["world"]["n_classes"] >= 2, "world.n_classes", "must be >= 2")
+    nw = tree["network"]
+    _require(
+        nw["n_layers"] == 0 or (nw["groups"] >= 1 and nw["feature_dim"] % nw["groups"] == 0),
+        "network.groups",
+        f"must be >= 1 and divide network.feature_dim ({nw['feature_dim']})",
+    )
     _require(tree["stream"]["batch_size"] >= 1, "stream.batch_size", "must be >= 1")
     _require(tree["stream"]["n_batches"] >= 1, "stream.n_batches", "must be >= 1")
     cfg = RunConfig(tree)

@@ -12,10 +12,16 @@ quadratic form ``a_i Sigma a_i^T`` in expectation, which yields:
   ``q_ij = (a_i - a_j) Sigma (a_i - a_j)^T``) that inflates the loss for
   samples confusing two far-apart class prototypes.
 
-Everything here is a pure float64 function; every exponential aggregation
-goes through max-subtracted log-sum-exp. Batched variants (``*_batch``)
-operate on row-stacked features and are exact vectorizations of the
-single-sample forms.
+The two training losses are objects built once from a head (and, for
+the augmented entropy, a covariance): ``EntropyLoss`` and
+``AugmentedEntropyLoss``. Their ``value_and_pullback`` scores an (n, d)
+batch of features and returns the per-sample losses with a pullback that
+forms the (n, d) feature gradients from the same intermediates. They are
+the only batch code for these quantities; the single-feature functions
+below wrap them.
+
+Everything here is float64; every exponential aggregation goes through
+max-subtracted log-sum-exp.
 """
 
 from __future__ import annotations
@@ -32,19 +38,16 @@ __all__ = [
     "softmax",
     "log_softmax",
     "entropy",
-    "entropy_from_logits",
     "softmax_rows",
     "log_softmax_rows",
+    "EntropyLoss",
+    "AugmentedEntropyLoss",
     "robust_probs",
-    "robust_probs_batch",
     "augmented_entropy",
-    "augmented_entropy_batch",
     "augmented_entropy_decomposed",
     "class_pair_weight",
     "grad_augmented_entropy_wrt_feature",
-    "grad_augmented_entropy_wrt_feature_batch",
     "grad_entropy_wrt_feature",
-    "grad_entropy_wrt_feature_batch",
 ]
 
 
@@ -183,21 +186,6 @@ def entropy(probs) -> float:
     return float(-terms.sum())
 
 
-def entropy_from_logits(L: np.ndarray) -> np.ndarray | float:
-    """Entropy of softmax(row) for each row, computed in log space.
-
-    Accepts a single logit vector or an (n, C) matrix.
-    """
-    arr = np.asarray(L, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    logp = log_softmax_rows(arr)
-    p = np.exp(logp)
-    h = -(p * logp).sum(axis=-1)
-    return float(h[0]) if single else h
-
-
 def _class_quadratic_forms(head: ClassifierHead, sigma: DiagCovariance) -> np.ndarray:
     # q_i = a_i Sigma a_i^T for diagonal Sigma
     return (head.weights * head.weights) @ sigma.variances
@@ -221,35 +209,71 @@ def robust_probs(head: ClassifierHead, z, sigma: DiagCovariance) -> np.ndarray:
     return softmax(head.weights @ z + head.biases + 0.5 * _class_quadratic_forms(head, sigma))
 
 
-def robust_probs_batch(head: ClassifierHead, Z, sigma: DiagCovariance) -> np.ndarray:
-    Z = _feature_rows(head, Z)
-    _check_sigma(head, sigma)
-    adj = Z @ head.weights.T + head.biases + 0.5 * _class_quadratic_forms(head, sigma)
-    return softmax_rows(adj)
+class EntropyLoss:
+    """Per-sample Shannon entropy of the head's plain softmax prediction."""
+
+    def __init__(self, head: ClassifierHead):
+        self.head = head
+
+    def value_and_pullback(self, Z):
+        """Losses of the (n, d) feature rows, and a pullback returning their
+        (n, d) feature gradients ``weights^T [-p * (log p + H)]``."""
+        Z = _feature_rows(self.head, Z)
+        logp = log_softmax_rows(Z @ self.head.weights.T + self.head.biases)
+        p = np.exp(logp)
+        h = -(p * logp).sum(axis=1)
+        return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights
 
 
-def augmented_entropy(head: ClassifierHead, z, sigma: DiagCovariance) -> float:
-    """Closed-form upper bound on the expected entropy under vicinal noise.
+class AugmentedEntropyLoss:
+    """Per-sample augmented entropy under one fixed vicinal covariance.
 
     L = sum_j pbar_j * log sum_i exp(t_ij), where pbar is the robust
     prediction and t_ij = (a_i - a_j)·z + (b_i - b_j) + q_ij/2 with
     q_ij = (a_i - a_j) Sigma (a_i - a_j)^T. The i = j term contributes
     exp(0) = 1 to every inner sum, so the result is always >= 0; it
-    collapses to the plain entropy at Sigma = 0.
+    collapses to the plain entropy at Sigma = 0. The halved class and
+    class-pair quadratic forms depend only on (head, Sigma) and are
+    computed here, once.
     """
+
+    def __init__(self, head: ClassifierHead, sigma: DiagCovariance):
+        _check_sigma(head, sigma)
+        self.head = head
+        self._half_q = 0.5 * _class_quadratic_forms(head, sigma)
+        self._half_pair_q = 0.5 * _pair_quadratic_forms(head, sigma)
+
+    def value_and_pullback(self, Z):
+        """Losses of the (n, d) feature rows, and a pullback returning their
+        (n, d) feature gradients.
+
+        With g_j the log-inner-sum, r_ij the softmax over i of t_ij, and
+        pbar the robust prediction, the gradient is
+        ``weights^T [pbar*g - (pbar·g) pbar + R pbar - pbar]``.
+        """
+        Z = _feature_rows(self.head, Z)
+        L = Z @ self.head.weights.T + self.head.biases
+        T = L[:, :, None] - L[:, None, :] + self._half_pair_q[None, :, :]
+        m = T.max(axis=1, keepdims=True)
+        E = np.exp(T - m)
+        inner = E.sum(axis=1, keepdims=True)
+        log_inner = (m + np.log(inner))[:, 0, :]
+        pbar = softmax_rows(L + self._half_q)
+        total = (pbar * log_inner).sum(axis=1, keepdims=True)
+
+        def pullback():
+            R = E / inner
+            coeff = pbar * log_inner - total * pbar + np.einsum("nij,nj->ni", R, pbar) - pbar
+            return coeff @ self.head.weights
+
+        return total[:, 0], pullback
+
+
+def augmented_entropy(head: ClassifierHead, z, sigma: DiagCovariance) -> float:
+    """Closed-form upper bound on the expected entropy under vicinal noise
+    (see ``AugmentedEntropyLoss``), for one feature."""
     z = _check_feature(head, z)
-    return float(augmented_entropy_batch(head, z[None, :], sigma)[0])
-
-
-def augmented_entropy_batch(head: ClassifierHead, Z, sigma: DiagCovariance) -> np.ndarray:
-    Z = _feature_rows(head, Z)
-    _check_sigma(head, sigma)
-    L = Z @ head.weights.T + head.biases
-    T = L[:, :, None] - L[:, None, :] + 0.5 * _pair_quadratic_forms(head, sigma)[None, :, :]
-    m = T.max(axis=1)
-    log_inner = m + np.log(np.exp(T - m[:, None, :]).sum(axis=1))
-    pbar = softmax_rows(L + 0.5 * _class_quadratic_forms(head, sigma))
-    return (pbar * log_inner).sum(axis=1)
+    return float(AugmentedEntropyLoss(head, sigma).value_and_pullback(z[None, :])[0][0])
 
 
 def augmented_entropy_decomposed(head: ClassifierHead, z, sigma: DiagCovariance) -> float:
@@ -288,41 +312,10 @@ def class_pair_weight(head: ClassifierHead, i: int, j: int, sigma: DiagCovarianc
 def grad_augmented_entropy_wrt_feature(head: ClassifierHead, z, sigma: DiagCovariance) -> np.ndarray:
     """Exact gradient of ``augmented_entropy`` with respect to the feature."""
     z = _check_feature(head, z)
-    return grad_augmented_entropy_wrt_feature_batch(head, z[None, :], sigma)[0]
-
-
-def grad_augmented_entropy_wrt_feature_batch(head: ClassifierHead, Z, sigma: DiagCovariance) -> np.ndarray:
-    """Row-wise feature gradients of the per-sample augmented entropy.
-
-    With g_j = log-inner-sum, r_ij the softmax over i of t_ij, and pbar
-    the robust prediction, the gradient is
-    ``weights^T [pbar*g - (pbar·g) pbar + R pbar - pbar]``.
-    """
-    Z = _feature_rows(head, Z)
-    _check_sigma(head, sigma)
-    L = Z @ head.weights.T + head.biases
-    T = L[:, :, None] - L[:, None, :] + 0.5 * _pair_quadratic_forms(head, sigma)[None, :, :]
-    m = T.max(axis=1, keepdims=True)
-    E = np.exp(T - m)
-    inner = E.sum(axis=1, keepdims=True)
-    log_inner = (m + np.log(inner))[:, 0, :]
-    R = E / inner
-    pbar = softmax_rows(L + 0.5 * _class_quadratic_forms(head, sigma))
-    total = (pbar * log_inner).sum(axis=1, keepdims=True)
-    coeff = pbar * log_inner - total * pbar + np.einsum("nij,nj->ni", R, pbar) - pbar
-    return coeff @ head.weights
+    return AugmentedEntropyLoss(head, sigma).value_and_pullback(z[None, :])[1]()[0]
 
 
 def grad_entropy_wrt_feature(head: ClassifierHead, z) -> np.ndarray:
     """Gradient of the plain softmax entropy with respect to the feature."""
     z = _check_feature(head, z)
-    return grad_entropy_wrt_feature_batch(head, z[None, :])[0]
-
-
-def grad_entropy_wrt_feature_batch(head: ClassifierHead, Z) -> np.ndarray:
-    Z = _feature_rows(head, Z)
-    logp = log_softmax_rows(Z @ head.weights.T + head.biases)
-    p = np.exp(logp)
-    h = -(p * logp).sum(axis=1, keepdims=True)
-    dlogits = -p * (logp + h)
-    return dlogits @ head.weights
+    return EntropyLoss(head).value_and_pullback(z[None, :])[1]()[0]

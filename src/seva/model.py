@@ -18,16 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import (
-    ClassifierHead,
-    DiagCovariance,
-    DimensionMismatch,
-    grad_augmented_entropy_wrt_feature_batch,
-    grad_entropy_wrt_feature_batch,
-    augmented_entropy_batch,
-    entropy_from_logits,
-    softmax_rows,
-)
+from .core_math import ClassifierHead, DiagCovariance, DimensionMismatch, softmax_rows
 from .rng import substream
 
 __all__ = [
@@ -44,15 +35,12 @@ __all__ = [
     "adaptable_params",
     "set_adaptable_params",
     "adaptable_layout",
-    "per_sample_loss",
     "batch_loss",
     "grad_loss_wrt_adaptable",
     "calibrate_covariance",
 ]
 
 NORM_EPS = 1e-5
-
-LOSS_KINDS = ("entropy", "augmented_entropy")
 
 # activation -> (f, derivative expressed through the activation output)
 _ACTIVATIONS = {
@@ -265,64 +253,21 @@ def adaptable_layout(net: ToyNetwork) -> tuple[tuple[int, str, int], ...]:
     return tuple(layout)
 
 
-def _check_loss_kind(loss_kind: str, sigma: DiagCovariance | None) -> None:
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind '{loss_kind}'")
-    if loss_kind == "augmented_entropy" and sigma is None:
-        raise ValueError("augmented_entropy loss needs a covariance")
+def batch_loss(net: ToyNetwork, X, loss) -> float:
+    """Mean per-sample ``loss`` (a core_math loss object) over the batch,
+    at the current parameters."""
+    losses, _ = loss.value_and_pullback(forward_features_batch(net, X))
+    return float(np.mean(losses))
 
 
-def per_sample_loss(
-    net: ToyNetwork,
-    features: np.ndarray,
-    loss_kind: str,
-    sigma: DiagCovariance | None = None,
-) -> np.ndarray:
-    """Per-sample loss values evaluated at already-computed features."""
-    _check_loss_kind(loss_kind, sigma)
-    if loss_kind == "entropy":
-        return entropy_from_logits(features @ net.head.weights.T + net.head.biases)
-    return augmented_entropy_batch(net.head, features, sigma)
-
-
-def batch_loss(
-    net: ToyNetwork,
-    X,
-    loss_kind: str,
-    sigma: DiagCovariance | None = None,
-    feature_noise: np.ndarray | None = None,
-) -> float:
-    """Mean per-sample loss over the batch, at the current parameters."""
-    feats = forward_features_batch(net, X)
-    if feature_noise is not None:
-        feats = feats + feature_noise
-    return float(np.mean(per_sample_loss(net, feats, loss_kind, sigma)))
-
-
-def grad_loss_wrt_adaptable(
-    net: ToyNetwork,
-    X,
-    loss_kind: str,
-    sigma: DiagCovariance | None = None,
-    feature_noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of the batch-mean loss w.r.t. all (gamma, beta) parameters.
-
-    ``feature_noise``, when given, is added to the features before the loss
-    (the explicit-augmentation baseline trains through the perturbed point).
-    """
+def grad_loss_wrt_adaptable(net: ToyNetwork, X, loss) -> np.ndarray:
+    """Gradient of the batch-mean ``loss`` w.r.t. all (gamma, beta) parameters."""
     X = _check_input(net, X)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    _check_loss_kind(loss_kind, sigma)
     feats, caches = forward_with_caches(net, X)
-    if feature_noise is not None:
-        feats = feats + feature_noise
-    if loss_kind == "entropy":
-        d_feat = grad_entropy_wrt_feature_batch(net.head, feats)
-    else:
-        d_feat = grad_augmented_entropy_wrt_feature_batch(net.head, feats, sigma)
-    return backward_adaptable(net, caches, d_feat / X.shape[0])
+    _, pullback = loss.value_and_pullback(feats)
+    return backward_adaptable(net, caches, pullback() / X.shape[0])
 
 
 def calibrate_covariance(net: ToyNetwork, calibration_inputs, scale: float) -> DiagCovariance:

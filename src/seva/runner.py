@@ -19,6 +19,7 @@ import numpy as np
 
 from .adapt import AdaptEngine, MethodConfig, RunTrace, run_stream
 from .config import RunConfig, canonical_json, config_hash
+from .core_math import AugmentedEntropyLoss
 from .model import ToyNetwork, build_network
 from .oracle import BoundGapReport, bound_sweep
 from .rng import derive_seed, substream
@@ -344,8 +345,9 @@ def execute_verify_bounds(cfg: RunConfig, fast: bool = False) -> tuple[list[Boun
 
 
 def _seva_template(cfg: RunConfig) -> MethodConfig:
+    """The first configured method that trains on the augmented loss."""
     for _, method in cfg.methods():
-        if method.kind == "seva":
+        if method.recipe.loss is AugmentedEntropyLoss:
             return method
     # fall back to defaults with the first method's optimizer settings
     first = cfg.methods()[0][1]
@@ -410,13 +412,14 @@ def execute_ablate(cfg: RunConfig, out_dir: str | Path, sweep: str = "components
     return rows
 
 
+# (name, kind, rounds)
 TIMING_ROSTER = [
-    ("no_adapt", 1),
-    ("tent", 1),
-    ("entropy_select", 1),
-    ("seva", 1),
-    ("explicit_va_5", 5),
-    ("explicit_va_7", 7),
+    ("no_adapt", "no_adapt", 1),
+    ("tent", "tent", 1),
+    ("entropy_select", "entropy_select", 1),
+    ("seva", "seva", 1),
+    ("explicit_va_5", "explicit_va", 5),
+    ("explicit_va_7", "explicit_va", 7),
 ]
 
 
@@ -428,8 +431,7 @@ def execute_time(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
     t = _seva_template(cfg)
     seed = cfg.seeds[0]
     rows = []
-    for name, rounds in TIMING_ROSTER:
-        kind = "explicit_va" if name.startswith("explicit_va") else name
+    for name, kind, rounds in TIMING_ROSTER:
         method = MethodConfig(
             kind=kind,
             threshold_rho=t.threshold_rho,
@@ -443,7 +445,7 @@ def execute_time(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
         rows.append(
             {
                 "method": name,
-                "rounds": rounds if kind == "explicit_va" else 0,
+                "rounds": rounds if method.recipe.has_rounds else 0,
                 "accuracy": result.accuracy,
                 "n_forward": result.counters["n_forward"],
                 "n_backward": result.counters["n_backward"],

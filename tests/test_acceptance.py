@@ -23,10 +23,11 @@ from seva.adapt import AdaptEngine, MethodConfig, run_stream, select, threshold_
 from seva.committed import committed_config, committed_methods
 from seva.config import resolve_config
 from seva.core_math import (
+    AugmentedEntropyLoss,
     ClassifierHead,
     DiagCovariance,
+    EntropyLoss,
     augmented_entropy,
-    augmented_entropy_batch,
     augmented_entropy_decomposed,
     entropy,
     grad_augmented_entropy_wrt_feature,
@@ -142,8 +143,8 @@ def test_criterion_05_gradient_correctness():
         set_adaptable_params(net, theta)
         X = rng.standard_normal((3, 5))
         sigma = DiagCovariance(rng.uniform(0.0, 1.0, 6))
-        for kind in ("entropy", "augmented_entropy"):
-            g = grad_loss_wrt_adaptable(net, X, kind, sigma)
+        for loss in (EntropyLoss(net.head), AugmentedEntropyLoss(net.head, sigma)):
+            g = grad_loss_wrt_adaptable(net, X, loss)
             fd = np.zeros_like(theta)
             for k in range(theta.size):
                 h = 1e-5 * (1 + abs(theta[k]))
@@ -151,9 +152,9 @@ def test_criterion_05_gradient_correctness():
                 tp[k] += h
                 tm[k] -= h
                 set_adaptable_params(net, tp)
-                fp = batch_loss(net, X, kind, sigma)
+                fp = batch_loss(net, X, loss)
                 set_adaptable_params(net, tm)
-                fm = batch_loss(net, X, kind, sigma)
+                fm = batch_loss(net, X, loss)
                 fd[k] = (fp - fm) / (2 * h)
             set_adaptable_params(net, theta)
             worst_param = max(worst_param, np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12))

@@ -14,7 +14,15 @@ from seva.adapt import (
     sgd_momentum_step,
     threshold_default,
 )
-from seva.core_math import ClassifierHead, DiagCovariance, augmented_entropy, entropy, softmax
+from seva.core_math import (
+    AugmentedEntropyLoss,
+    ClassifierHead,
+    DiagCovariance,
+    EntropyLoss,
+    augmented_entropy,
+    entropy,
+    softmax,
+)
 from seva.model import adaptable_params, batch_loss, build_network, forward_features_batch
 from seva.scenarios import Batch
 
@@ -171,10 +179,11 @@ class TestAdaptStep:
         engine = AdaptEngine(net, MethodConfig(kind="seva", threshold_rho=10.0, lr=1e-3))
         engine.calibrate(np.concatenate([b.inputs for b in stream]))
         X = stream[0].inputs
-        loss_before = batch_loss(net, X, "augmented_entropy", engine.sigma)
+        loss = AugmentedEntropyLoss(net.head, engine.sigma)
+        loss_before = batch_loss(net, X, loss)
         rep = engine.adapt_step(X)
         assert rep.updated
-        loss_after = batch_loss(net, X, "augmented_entropy", engine.sigma)
+        loss_after = batch_loss(net, X, loss)
         assert loss_after < loss_before
 
     def test_predictions_are_pre_update(self):
@@ -227,8 +236,12 @@ class TestExplicitVa:
     def test_zero_sigma_rounds_match_repeated_entropy_steps(self):
         # with zero covariance the vicinal draws are the features themselves
         net, stream = small_setup(seed=7)
-        engine = AdaptEngine(net, MethodConfig(kind="explicit_va", rounds=2, threshold_rho=10.0, lr=0.01), seed=1)
-        engine.sigma = DiagCovariance.zeros(8)
+        engine = AdaptEngine(
+            net,
+            MethodConfig(kind="explicit_va", rounds=2, threshold_rho=10.0, lr=0.01),
+            sigma=DiagCovariance.zeros(8),
+            seed=1,
+        )
         X = stream[0].inputs
         engine.adapt_step(X)
         got = adaptable_params(net).copy()
@@ -238,7 +251,7 @@ class TestExplicitVa:
 
         state = OptimizerState.zeros_like(adaptable_params(net2))
         for _ in range(2):
-            g = grad_loss_wrt_adaptable(net2, X, "entropy")
+            g = grad_loss_wrt_adaptable(net2, X, EntropyLoss(net2.head))
             new, state = sgd_momentum_step(adaptable_params(net2), g, state, 0.01, 0.9)
             set_adaptable_params(net2, new)
         np.testing.assert_allclose(got, adaptable_params(net2), atol=1e-12)

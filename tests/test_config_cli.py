@@ -195,6 +195,31 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "from_flag")]) == 0
         assert (tmp_path / "from_flag" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "time"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_seeds_flag_exit_two(self, tmp_path, capsys, command, n):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--seeds", str(n)]) == 2
+        assert "'seeds'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patch,named", [
+        pytest.param({"methods": [{"kind": "tent", "lr": "0.1"}]}, ["'methods[0].lr'"], id="string_lr"),
+        pytest.param({"stream": {"batch_size": "8"}}, ["'stream.batch_size'"], id="string_batch_size"),
+        pytest.param({"world": {"n_classes": 2.5}}, ["'world.n_classes'"], id="fractional_n_classes"),
+        pytest.param({"network": {"feature_dim": 8, "groups": 3}}, ["'network.groups'"], id="groups_not_dividing"),
+        pytest.param({"seeds": [True]}, ["'seeds'"], id="boolean_seed"),
+        pytest.param({"methods": [{"kind": "seva", "rounds": 5}]}, ["'methods[0]'", "rounds"], id="rounds_without_recipe_rounds"),
+    ])
+    def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
+        cfg_path = write_config(tmp_path, dict(SMALL, **patch))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:")
+        for text in named:
+            assert text in err
+
     def test_seeds_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)
         out = tmp_path / "seeded"

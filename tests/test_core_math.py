@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seva.core_math import (
+    AugmentedEntropyLoss,
     ClassifierHead,
     DiagCovariance,
     DimensionMismatch,
+    EntropyLoss,
     augmented_entropy,
-    augmented_entropy_batch,
     augmented_entropy_decomposed,
     class_pair_weight,
     entropy,
-    entropy_from_logits,
     grad_augmented_entropy_wrt_feature,
-    grad_augmented_entropy_wrt_feature_batch,
     grad_entropy_wrt_feature,
     log_softmax,
     logits,
@@ -97,7 +96,8 @@ class TestSoftmaxEntropy:
     def test_entropy_from_logits_matches(self):
         rng = np.random.default_rng(3)
         L = rng.standard_normal((40, 6)) * 5
-        rows = entropy_from_logits(L)
+        identity_head = ClassifierHead(np.eye(6), np.zeros(6))  # logits are the features
+        rows, _ = EntropyLoss(identity_head).value_and_pullback(L)
         for i in range(40):
             assert rows[i] == pytest.approx(entropy(softmax(L[i])), abs=1e-12)
 
@@ -169,7 +169,7 @@ class TestAugmentedEntropy:
         head = random_head(rng, C=5, d=6)
         sigma = random_sigma(rng, 6)
         Z = rng.standard_normal((20, 6))
-        batch = augmented_entropy_batch(head, Z, sigma)
+        batch, _ = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
         for i in range(20):
             assert batch[i] == pytest.approx(augmented_entropy(head, Z[i], sigma), abs=1e-12)
 
@@ -288,7 +288,8 @@ class TestFeatureGradient:
         head = random_head(rng, C=4, d=5)
         sigma = random_sigma(rng, 5)
         Z = rng.standard_normal((8, 5))
-        G = grad_augmented_entropy_wrt_feature_batch(head, Z, sigma)
+        _, pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+        G = pullback()
         for i in range(8):
             np.testing.assert_allclose(
                 G[i], grad_augmented_entropy_wrt_feature(head, Z[i], sigma), atol=1e-12

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seva.core_math import DiagCovariance
+from seva.core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss
 from seva.model import (
     NORM_EPS,
     adaptable_layout,
@@ -198,7 +198,7 @@ class TestParamVector:
             set_adaptable_params(net, np.zeros(31))
 
 
-def fd_params_gradient(net, X, loss_kind, sigma, h_scale=1e-5):
+def fd_params_gradient(net, X, loss, h_scale=1e-5):
     theta = adaptable_params(net)
     g = np.zeros_like(theta)
     for k in range(theta.size):
@@ -207,9 +207,9 @@ def fd_params_gradient(net, X, loss_kind, sigma, h_scale=1e-5):
         tp[k] += h
         tm[k] -= h
         set_adaptable_params(net, tp)
-        fp = batch_loss(net, X, loss_kind, sigma)
+        fp = batch_loss(net, X, loss)
         set_adaptable_params(net, tm)
-        fm = batch_loss(net, X, loss_kind, sigma)
+        fm = batch_loss(net, X, loss)
         g[k] = (fp - fm) / (2 * h)
     set_adaptable_params(net, theta)
     return g
@@ -221,17 +221,20 @@ class TestAdaptableGradients:
 
         net.head = ClassifierHead(np.tile(np.linspace(0, 1, 8), (4, 1)), np.zeros(4))
         X = np.random.default_rng(8).standard_normal((3, 6))
-        g = grad_loss_wrt_adaptable(net, X, "entropy")
+        g = grad_loss_wrt_adaptable(net, X, EntropyLoss(net.head))
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_zero_sigma_augmented_equals_entropy_gradient(self, net):
         X = np.random.default_rng(9).standard_normal((4, 6))
-        g_ent = grad_loss_wrt_adaptable(net, X, "entropy")
-        g_aug = grad_loss_wrt_adaptable(net, X, "augmented_entropy", DiagCovariance.zeros(8))
+        g_ent = grad_loss_wrt_adaptable(net, X, EntropyLoss(net.head))
+        g_aug = grad_loss_wrt_adaptable(net, X, AugmentedEntropyLoss(net.head, DiagCovariance.zeros(8)))
         np.testing.assert_allclose(g_aug, g_ent, atol=1e-9)
 
-    @pytest.mark.parametrize("loss_kind", ["entropy", "augmented_entropy"])
-    def test_fd_agreement_20_instances(self, loss_kind):
+    @pytest.mark.parametrize("make_loss", [
+        pytest.param(lambda head, sigma: EntropyLoss(head), id="entropy"),
+        pytest.param(AugmentedEntropyLoss, id="augmented_entropy"),
+    ])
+    def test_fd_agreement_20_instances(self, make_loss):
         rng = np.random.default_rng(10)
         for i in range(10):
             net = build_network(
@@ -243,18 +246,15 @@ class TestAdaptableGradients:
             )
             X = rng.standard_normal((int(rng.integers(1, 5)), 5))
             sigma = DiagCovariance(rng.uniform(0, 1.0, 6))
-            g = grad_loss_wrt_adaptable(net, X, loss_kind, sigma)
-            fd = fd_params_gradient(net, X, loss_kind, sigma)
+            loss = make_loss(net.head, sigma)
+            g = grad_loss_wrt_adaptable(net, X, loss)
+            fd = fd_params_gradient(net, X, loss)
             scale = max(np.abs(fd).max(), 1e-12)
             assert np.abs(g - fd).max() / scale <= 1e-4
 
     def test_empty_batch_rejected(self, net):
         with pytest.raises(ValueError, match="empty batch"):
-            grad_loss_wrt_adaptable(net, np.zeros((0, 6)), "entropy")
-
-    def test_unknown_loss_kind(self, net):
-        with pytest.raises(ValueError, match="loss kind"):
-            grad_loss_wrt_adaptable(net, np.zeros((1, 6)), "hinge")
+            grad_loss_wrt_adaptable(net, np.zeros((0, 6)), EntropyLoss(net.head))
 
 
 class TestCalibration:
