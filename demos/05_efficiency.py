@@ -4,7 +4,7 @@
 # forward/backward round per draw.
 from seva.adapt import MethodConfig
 from seva.config import resolve_config
-from seva.runner import run_cell
+from seva.runner import run_cells
 
 cfg = resolve_config(
     {
@@ -31,12 +31,11 @@ roster = [
 
 print(f"{'method':>14} {'forward':>8} {'backward':>9} {'steps':>6} {'wall':>8} {'acc':>6}")
 walls = {}
-for name, method in roster:
-    r = run_cell(cfg, name, method, 0)
+for r in run_cells(cfg, roster, [0]):
     wall = sum(s.step_wall_time for s in r.trace.steps)
-    walls[name] = wall
+    walls[r.name] = wall
     c = r.counters
-    print(f"{name:>14} {c['n_forward']:8d} {c['n_backward']:9d} "
+    print(f"{r.name:>14} {c['n_forward']:8d} {c['n_backward']:9d} "
           f"{c['n_optimizer_steps']:6d} {wall:7.3f}s {r.accuracy:6.3f}")
 
 print(f"\nwall-time ratio explicit_va_7 / seva = {walls['explicit_va_7'] / walls['seva']:.1f}")

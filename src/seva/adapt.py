@@ -3,8 +3,9 @@
 One engine owns one network for one streaming pass. Per batch it predicts
 (before any update), scores each sample with the method's loss, applies
 the method's selection rule, and, iff at least one sample was selected,
-applies the method's update rule to the selected samples. A method kind
-is one row of ``RECIPES``:
+applies the method's update rule to the selected samples. An optimizer
+step whose gradient is not finite is skipped. A method kind is one row of
+``RECIPES``:
 
 ==================  =================  ===============  =======================
 kind                loss               selection        update
@@ -195,7 +196,7 @@ class StepReport:
     predicted: np.ndarray
     confidence: np.ndarray
     n_selected: int
-    updated: bool
+    updated: bool  # at least one optimizer step was applied
     step_wall_time: float
 
 
@@ -292,6 +293,10 @@ class AdaptEngine:
         return self.sigma
 
     def _optimizer_step(self, grads: np.ndarray) -> None:
+        """One SGD-with-momentum step; a non-finite gradient is skipped whole,
+        leaving parameters, momentum and the step counter as they were."""
+        if not np.isfinite(grads).all():
+            return
         params = adaptable_params(self.net)
         new_params, self.opt_state = sgd_momentum_step(
             params, grads, self.opt_state, self.method.lr, self.method.momentum
@@ -318,6 +323,7 @@ class AdaptEngine:
         losses, pullback = self.loss.value_and_pullback(feats)
         selected = recipe.select(losses, self.threshold)
         n_selected = int(selected.sum())
+        steps_before = self.counters.n_optimizer_steps
         if n_selected > 0:
             recipe.update(self, X, caches, pullback, selected, n_selected)
 
@@ -327,7 +333,7 @@ class AdaptEngine:
             predicted=probs.argmax(axis=1),
             confidence=probs.max(axis=1),
             n_selected=n_selected,
-            updated=n_selected > 0,
+            updated=self.counters.n_optimizer_steps > steps_before,
             step_wall_time=time.perf_counter() - t0,
         )
 

@@ -267,6 +267,7 @@ def resolve_config(raw: dict) -> RunConfig:
         "seeds",
         "must be a non-empty list of integers",
     )
+    _require(len(set(tree["seeds"])) == len(tree["seeds"]), "seeds", f"duplicate seed in {tree['seeds']}")
     _require(tree["calibration_samples"] >= 2, "calibration_samples", "must be >= 2")
     _require(tree["world"]["n_classes"] >= 2, "world.n_classes", "must be >= 2")
     nw = tree["network"]
@@ -279,12 +280,15 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(tree["stream"]["n_batches"] >= 1, "stream.n_batches", "must be >= 1")
     cfg = RunConfig(tree)
     try:
-        cfg.methods()  # surfaces MethodConfig validation errors with config context
+        names = [name for name, _ in cfg.methods()]  # surfaces MethodConfig errors with config context
         cfg.stream_spec(seed=0)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # a cell's trace file is named after its method, so resolved names must be unique
+    for i, name in enumerate(names):
+        _require(name not in names[:i], f"methods[{i}].name", f"duplicate method name '{name}'")
     return cfg
 
 

@@ -156,15 +156,11 @@ def logits(head: ClassifierHead, z) -> np.ndarray:
 
 def softmax(values) -> np.ndarray:
     """Max-subtracted softmax of a logit vector."""
-    l = _vector(values, "logits")
-    e = np.exp(l - l.max())
-    return e / e.sum()
+    return softmax_rows(_vector(values, "logits"))
 
 
 def log_softmax(values) -> np.ndarray:
-    l = _vector(values, "logits")
-    shifted = l - l.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    return log_softmax_rows(_vector(values, "logits"))
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Experiment execution and artifacts.
 
 One cell = one (method, seed) pair on the shared world/model/stream derived
-from the master seed, so cells are paired comparisons. Each cell writes a
-JSONL trace (deterministic bytes: no wall-clock fields), and every grid
-writes one CSV summary. The resolved config is emitted next to the
-artifacts; re-running it reproduces the traces byte for byte.
+from the master seed, so cells are paired comparisons; ``run_cells`` builds
+the world, network and head once and runs every cell of a grid on it. Each
+cell writes a JSONL trace (deterministic bytes: no wall-clock fields), and
+every grid writes one CSV summary. The resolved config is emitted next to
+the artifacts; re-running it reproduces the traces byte for byte.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ __all__ = [
     "ABLATION_COLUMNS",
     "build_world_and_model",
     "run_cell",
+    "run_cells",
     "execute_run",
     "execute_verify_bounds",
     "execute_ablate",
@@ -91,6 +95,8 @@ TIMING_COLUMNS = [
 # Component-ablation grid and hyperparameter sweep axes.
 SIGMA_SCALE_SWEEP = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 RHO_SWEEP = [0.5, 0.75, 1.0, 1.25, 1.5]
+# sweep name -> (MethodConfig field it varies on the seva template, values)
+_SWEEPS = {"sigma_scale": ("sigma_scale", SIGMA_SCALE_SWEEP), "rho": ("threshold_rho", RHO_SWEEP)}
 
 
 @dataclass
@@ -169,13 +175,19 @@ def build_world_and_model(cfg: RunConfig) -> tuple[World, ToyNetwork, float]:
     )
 
 
-def run_cell(cfg: RunConfig, name: str, method: MethodConfig, run_seed: int) -> CellResult:
-    """Execute one (method, seed) cell end to end."""
-    world, net, clean_acc = build_world_and_model(cfg)
+def run_cell(
+    cfg: RunConfig, built: tuple[World, ToyNetwork, float], name: str, method: MethodConfig, run_seed: int
+) -> CellResult:
+    """Execute one (method, seed) cell on a ``build_world_and_model`` result.
+
+    The engine adapts a deep copy of the built network (adaptation replaces
+    its gamma/beta arrays), so no cell sees another cell's updates.
+    """
+    world, net, clean_acc = built
     spec = cfg.stream_spec(seed=derive_seed(cfg.master_seed, "stream", run_seed))
     stream = generate_stream(world, spec)
     engine = AdaptEngine(
-        net,
+        copy.deepcopy(net),
         method,
         seed=derive_seed(cfg.master_seed, "engine", run_seed, name),
     )
@@ -205,6 +217,18 @@ def run_cell(cfg: RunConfig, name: str, method: MethodConfig, run_seed: int) -> 
         calib_wall_time=calib_wall,
         config_hash=config_hash(cfg),
     )
+
+
+def run_cells(cfg: RunConfig, cells: Iterable[tuple[str, MethodConfig]], seeds: Iterable[int]) -> Iterator[CellResult]:
+    """Yield one CellResult per (name, method) cell x seed, cell-major.
+
+    The world, network and head are built once, before the first cell, so
+    an infeasible world raises InfeasibleWorldError before any cell runs.
+    """
+    built = build_world_and_model(cfg)
+    for name, method in cells:
+        for seed in seeds:
+            yield run_cell(cfg, built, name, method, seed)
 
 
 def _json_line(record: dict) -> str:
@@ -309,13 +333,11 @@ def execute_run(cfg: RunConfig, out_dir: str | Path) -> dict:
     write_resolved_config(cfg, out)
     rows = []
     trace_paths = []
-    for name, method in cfg.methods():
-        for seed in cfg.seeds:
-            result = run_cell(cfg, name, method, seed)
-            path = out / f"trace_{name}_seed{seed}.jsonl"
-            write_trace(result, cfg, path)
-            trace_paths.append(path)
-            rows.append(summary_row(result, cfg))
+    for result in run_cells(cfg, cfg.methods(), cfg.seeds):
+        path = out / f"trace_{result.name}_seed{result.seed}.jsonl"
+        write_trace(result, cfg, path)
+        trace_paths.append(path)
+        rows.append(summary_row(result, cfg))
     summary_path = out / "summary.csv"
     write_csv(rows, SUMMARY_COLUMNS, summary_path)
     return {"summary": summary_path, "traces": trace_paths, "rows": rows}
@@ -373,41 +395,27 @@ def execute_ablate(cfg: RunConfig, out_dir: str | Path, sweep: str = "components
     write_resolved_config(cfg, out)
     t = _seva_template(cfg)
     if sweep == "components":
-        cells = [(name, "cell", name, m) for name, m in ablation_cells(cfg)]
-        csv_name = "ablation.csv"
-    elif sweep == "sigma_scale":
-        cells = [
-            (f"sigma_scale_{v:g}", "sigma_scale", v,
-             MethodConfig(kind="seva", threshold_rho=t.threshold_rho, sigma_scale=v,
-                          lr=t.lr, momentum=t.momentum))
-            for v in SIGMA_SCALE_SWEEP
-        ]
-        csv_name = "sweep_sigma_scale.csv"
-    elif sweep == "rho":
-        cells = [
-            (f"rho_{v:g}", "rho", v,
-             MethodConfig(kind="seva", threshold_rho=v, sigma_scale=t.sigma_scale,
-                          lr=t.lr, momentum=t.momentum))
-            for v in RHO_SWEEP
-        ]
-        csv_name = "sweep_rho.csv"
+        cells = ablation_cells(cfg)
+        param, values, csv_name = "cell", [name for name, _ in cells], "ablation.csv"
+    elif sweep in _SWEEPS:
+        field, values = _SWEEPS[sweep]
+        cells = [(f"{sweep}_{v:g}", replace(t, **{field: v})) for v in values]
+        param, csv_name = sweep, f"sweep_{sweep}.csv"
     else:
         raise ValueError(f"unknown sweep '{sweep}'")
-    rows = []
-    for name, param, value, method in cells:
-        for seed in cfg.seeds:
-            result = run_cell(cfg, name, method, seed)
-            rows.append(
-                {
-                    "cell": name,
-                    "param": param,
-                    "value": value,
-                    "seed": seed,
-                    "accuracy": result.accuracy,
-                    "selection_f1": result.selection.f1,
-                    "n_selected": result.n_selected,
-                }
-            )
+    value_of = {name: v for (name, _), v in zip(cells, values)}
+    rows = [
+        {
+            "cell": result.name,
+            "param": param,
+            "value": value_of[result.name],
+            "seed": result.seed,
+            "accuracy": result.accuracy,
+            "selection_f1": result.selection.f1,
+            "n_selected": result.n_selected,
+        }
+        for result in run_cells(cfg, cells, cfg.seeds)
+    ]
     write_csv(rows, ABLATION_COLUMNS, out / csv_name)
     return rows
 
@@ -429,23 +437,14 @@ def execute_time(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, out)
     t = _seva_template(cfg)
-    seed = cfg.seeds[0]
+    cells = [(name, replace(t, kind=kind, rounds=rounds)) for name, kind, rounds in TIMING_ROSTER]
     rows = []
-    for name, kind, rounds in TIMING_ROSTER:
-        method = MethodConfig(
-            kind=kind,
-            threshold_rho=t.threshold_rho,
-            sigma_scale=t.sigma_scale,
-            lr=t.lr,
-            momentum=t.momentum,
-            rounds=rounds,
-        )
-        result = run_cell(cfg, name, method, seed)
+    for result in run_cells(cfg, cells, cfg.seeds[:1]):
         steps = result.trace.steps
         rows.append(
             {
-                "method": name,
-                "rounds": rounds if method.recipe.has_rounds else 0,
+                "method": result.name,
+                "rounds": result.method.rounds if result.method.recipe.has_rounds else 0,
                 "accuracy": result.accuracy,
                 "n_forward": result.counters["n_forward"],
                 "n_backward": result.counters["n_backward"],

@@ -44,7 +44,7 @@ from seva.model import (
 )
 from seva.oracle import bound_sweep, mc_robust_probs_estimate, random_instance
 from seva.rng import derive_seed, substream
-from seva.runner import build_world_and_model, run_cell, execute_run
+from seva.runner import build_world_and_model, run_cells, execute_run
 from seva.scenarios import generate_stream, selection_f1
 from conftest import random_head, random_sigma
 
@@ -207,13 +207,12 @@ def test_criterion_07_efficiency_counters():
             },
         }
     )
-    results = {}
-    for name, method in (
+    roster = (
         ("tent", MethodConfig(kind="tent", lr=0.001)),
         ("seva", MethodConfig(kind="seva", lr=0.001)),
         ("va7", MethodConfig(kind="explicit_va", rounds=7, lr=0.001)),
-    ):
-        results[name] = run_cell(cfg, name, method, 0)
+    )
+    results = {r.name: r for r in run_cells(cfg, roster, [0])}
     n = cfg.tree["stream"]["batch_size"] * cfg.tree["stream"]["n_batches"]
     tent, seva, va7 = results["tent"], results["seva"], results["va7"]
 
@@ -240,9 +239,11 @@ def test_criterion_07_efficiency_counters():
 @pytest.fixture(scope="module")
 def committed_results():
     cfg = committed_config()
+    by_name = {}
+    for cell in run_cells(cfg, committed_methods().items(), cfg.seeds):
+        by_name.setdefault(cell.name, []).append(cell)
     out = {}
-    for name, method in committed_methods().items():
-        cells = [run_cell(cfg, name, method, seed) for seed in cfg.seeds]
+    for name, cells in by_name.items():
         out[name] = {
             "accuracy": float(np.mean([c.accuracy for c in cells])),
             "f1": float(np.mean([c.selection.f1 for c in cells])),

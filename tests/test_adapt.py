@@ -322,6 +322,57 @@ class TestRunStream:
         assert seva.counters.n_optimizer_steps <= tent.counters.n_optimizer_steps
 
 
+class TestNonFiniteGradient:
+    """A non-finite gradient skips its optimizer step: parameters, momentum
+    and the step counter stay as they were."""
+
+    @pytest.mark.parametrize("kind", ["tent", "entropy_select", "seva"])
+    def test_one_nan_input_leaves_the_network_finite(self, kind):
+        net, _ = small_setup(seed=12)
+        rng = np.random.default_rng(13)
+        stream = [Batch(rng.standard_normal((8, 6)), rng.integers(0, 4, 8)) for _ in range(20)]
+        stream[3].inputs[5, 2] = np.nan
+        engine = AdaptEngine(net, MethodConfig(kind=kind, threshold_rho=10.0, lr=0.05), seed=1)
+        if engine.method.needs_sigma:
+            engine.calibrate(np.concatenate([b.inputs for b in stream[:3]]))
+        reports = [engine.adapt_step(b.inputs) for b in stream[:3]]
+        params, velocity = adaptable_params(net), engine.opt_state.velocity.copy()
+        steps = engine.counters.n_optimizer_steps
+        reports.append(engine.adapt_step(stream[3].inputs))
+        assert np.isnan(reports[3].losses[5])
+        assert reports[3].updated is False
+        np.testing.assert_array_equal(adaptable_params(net), params)
+        np.testing.assert_array_equal(engine.opt_state.velocity, velocity)
+        assert engine.counters.n_optimizer_steps == steps
+        reports += [engine.adapt_step(b.inputs) for b in stream[4:]]
+        assert all(r.updated for i, r in enumerate(reports) if i != 3)
+        assert engine.counters.n_optimizer_steps == 19
+        assert np.isfinite(adaptable_params(net)).all()
+        assert all(np.isfinite(r.losses).all() for r in reports[4:])
+
+    def test_every_vicinal_round_is_guarded(self, monkeypatch):
+        import seva.adapt
+
+        backward = seva.adapt.backward_adaptable
+        calls = []
+
+        def nan_on_second_round(*args):
+            calls.append(None)
+            grads = backward(*args)
+            return grads * np.nan if len(calls) == 2 else grads
+
+        monkeypatch.setattr(seva.adapt, "backward_adaptable", nan_on_second_round)
+        net, stream = small_setup(seed=14)
+        engine = AdaptEngine(net, MethodConfig(kind="explicit_va", rounds=3, threshold_rho=10.0, lr=0.01), seed=2)
+        engine.calibrate(np.concatenate([b.inputs for b in stream]))
+        rep = engine.adapt_step(stream[0].inputs)
+        assert len(calls) == 3
+        assert rep.updated is True
+        assert engine.counters.n_optimizer_steps == 2
+        assert np.isfinite(adaptable_params(net)).all()
+        assert np.isfinite(engine.opt_state.velocity).all()
+
+
 class TestConfusingFamilyMonotonicity:
     def test_loss_increases_with_prototype_distance_and_flips_once(self):
         # p stays [1/2, 1/2] along the sweep; the loss rises with the pair

@@ -211,6 +211,18 @@ class TestCli:
         pytest.param({"network": {"feature_dim": 8, "groups": 3}}, ["'network.groups'"], id="groups_not_dividing"),
         pytest.param({"seeds": [True]}, ["'seeds'"], id="boolean_seed"),
         pytest.param({"methods": [{"kind": "seva", "rounds": 5}]}, ["'methods[0]'", "rounds"], id="rounds_without_recipe_rounds"),
+        # a repeated seed or resolved method name would overwrite another cell's trace file
+        pytest.param({"seeds": [1, 1]}, ["'seeds'", "duplicate"], id="duplicate_seed"),
+        pytest.param(
+            {"methods": [{"kind": "tent", "name": "a"}, {"kind": "seva", "name": "a"}]},
+            ["'methods[1].name'", "duplicate"],
+            id="duplicate_method_name",
+        ),
+        pytest.param(
+            {"methods": [{"kind": "tent"}, {"kind": "no_adapt", "name": "00_tent"}]},
+            ["'methods[1].name'", "duplicate"],
+            id="name_equals_generated_name",
+        ),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))
