@@ -1,0 +1,58 @@
+# Kernel sweep: what the augmented-entropy loss costs as the class count
+# grows. For C in {10, 100, 300, 1000} it builds AugmentedEntropyLoss once
+# per (head, covariance) and scores a batch of n=64 features, reporting the
+# construction time, the value+pullback time (medians) and the tracemalloc
+# peak of one value+pullback call. The loss never forms an (n, C, C) or
+# (C, C, d) array, so C=1000, d=512 runs in a few MB.
+import os
+
+# BLAS is pinned to one thread before numpy is first imported, so the
+# timings do not depend on how many cores a small GEMM happens to get.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from seva.core_math import AugmentedEntropyLoss, ClassifierHead, DiagCovariance  # noqa: E402
+
+SHAPES = ((10, 16), (100, 64), (300, 64), (1000, 512))  # (C, d)
+N_FEATURES = 64
+
+
+def _median_ms(fn, reps):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * float(np.median(times))
+
+
+def sweep(shapes=SHAPES, n=N_FEATURES, reps=15):
+    rows = []
+    for C, d in shapes:
+        rng = np.random.default_rng(C)
+        head = ClassifierHead(rng.standard_normal((C, d)) / np.sqrt(d), np.zeros(C))
+        sigma = DiagCovariance(rng.uniform(0.0, 1.0, d))
+        Z = rng.standard_normal((n, d))
+        build_ms = _median_ms(lambda: AugmentedEntropyLoss(head, sigma), reps)
+        loss = AugmentedEntropyLoss(head, sigma)
+        call_ms = _median_ms(lambda: loss.value_and_pullback(Z)[1](), reps)
+        tracemalloc.start()
+        loss.value_and_pullback(Z)[1]()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rows.append({"C": C, "d": d, "n": n, "build_ms": build_ms, "call_ms": call_ms, "peak_mb": peak / 2**20})
+    return rows
+
+
+if __name__ == "__main__":
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"nproc {os.cpu_count()}, BLAS {blas.get('name')} {blas.get('version')}, "
+          f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
+    print(f"{'C':>5} {'d':>4} {'n':>3} {'build ms':>9} {'value+pullback ms':>18} {'peak MB':>8}")
+    for r in sweep():
+        print(f"{r['C']:5d} {r['d']:4d} {r['n']:3d} {r['build_ms']:9.2f} {r['call_ms']:18.3f} {r['peak_mb']:8.2f}")

@@ -37,6 +37,7 @@ import numpy as np
 
 from .core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss, softmax_rows
 from .model import (
+    LayerCache,
     ToyNetwork,
     adaptable_params,
     backward_adaptable,
@@ -75,7 +76,19 @@ def _select_none(losses: np.ndarray, threshold: float) -> np.ndarray:
 
 def _one_step(engine: "AdaptEngine", X, caches, pullback, selected, n_selected: int) -> None:
     d_feat = pullback()
-    d_feat[~selected] = 0.0
+    if not selected.all():
+        # Unselected rows are zeroed in the cached activations too: a zero
+        # feature gradient times a non-finite activation would still be NaN.
+        keep = selected[:, None]
+        d_feat = np.where(keep, d_feat, 0.0)
+        caches = [
+            LayerCache(
+                normalized=np.where(keep, c.normalized, 0.0),
+                inv_std=np.where(keep, c.inv_std, 0.0),
+                output=np.where(keep, c.output, 0.0),
+            )
+            for c in caches
+        ]
     grads = backward_adaptable(engine.net, caches, d_feat / n_selected)
     engine.counters.n_backward += n_selected
     engine._optimizer_step(grads)

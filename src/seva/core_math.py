@@ -20,8 +20,16 @@ forms the (n, d) feature gradients from the same intermediates. They are
 the only batch code for these quantities; the single-feature functions
 below wrap them.
 
-Everything here is float64; every exponential aggregation goes through
-max-subtracted log-sum-exp.
+The augmented entropy sums over class pairs, but is computed as two
+(n, C)·(C, C) products: with K = A Sigma A^T and h = diag(K)/2,
+q_ij/2 = h_i + h_j - K_ij, so every pair term factors into a row term in
+the robust logits and a column term in K. Rows and columns are shifted by
+their maxima; entries whose sum underflows anyway are recomputed exactly
+in the pair form (see ``AugmentedEntropyLoss``).
+
+Everything here is float64. Softmaxes and entropies subtract the row
+maximum before exponentiating. ``augmented_entropy_decomposed``, the
+independent reference, still evaluates the class-pair weights literally.
 """
 
 from __future__ import annotations
@@ -221,6 +229,12 @@ class EntropyLoss:
         return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights
 
 
+# Rows holding an inner sum S below _S_UNDERFLOW are recomputed in the pair
+# form, in (r, C, C) chunks of at most _PAIR_CHUNK elements (or one row).
+_S_UNDERFLOW = 1e-280
+_PAIR_CHUNK = 1 << 18
+
+
 class AugmentedEntropyLoss:
     """Per-sample augmented entropy under one fixed vicinal covariance.
 
@@ -228,16 +242,44 @@ class AugmentedEntropyLoss:
     prediction and t_ij = (a_i - a_j)·z + (b_i - b_j) + q_ij/2 with
     q_ij = (a_i - a_j) Sigma (a_i - a_j)^T. The i = j term contributes
     exp(0) = 1 to every inner sum, so the result is always >= 0; it
-    collapses to the plain entropy at Sigma = 0. The halved class and
-    class-pair quadratic forms depend only on (head, Sigma) and are
-    computed here, once.
+    collapses to the plain entropy at Sigma = 0.
+
+    No (n, C, C) or (C, C, d) array is formed on the finite path. With
+    K = A Sigma A^T, h = diag(K)/2 and the robust logits u = Az + b + h,
+    q_ij/2 = h_i + h_j - K_ij, so the inner sum of column j is
+    exp(K_jj - u_j) * sum_i exp(u_i - K_ij): one (n, C)·(C, C) product
+    per batch. Two shifts keep it in range: each row of u by its maximum
+    and each column j of -K by kappa_j = max_i(-K_ij), so the constructor
+    builds E = exp(-K - kappa) <= 1 once. The i = j term is split off so
+    that log inner = log(1 + off-diagonal / diagonal) keeps its relative
+    precision near 0 and is >= 0 by construction (exactly 0 at C = 1):
+
+        a_j = (max u - u_j) + (K_jj + kappa_j) >= 0,
+        S_off = exp(u - max u) E_off,             E_off = E, diagonal zeroed,
+        log inner_j = log(1 + S_off_j exp(a_j)),
+        S_j = S_off_j + exp(-a_j).
+
+    The R pbar - pbar term of the gradient is the second product,
+    exp(u - max u) * ((pbar / S) E_off^T) - pbar * S_off / S. S_j can
+    underflow when the classes that dominate column j lie far from both
+    maxima; every row holding an S entry below ``_S_UNDERFLOW`` is
+    recomputed, value and gradient, in the literal pair form. Above that
+    floor every term lost to underflow is below 1e-28 of S_j.
     """
 
     def __init__(self, head: ClassifierHead, sigma: DiagCovariance):
         _check_sigma(head, sigma)
         self.head = head
-        self._half_q = 0.5 * _class_quadratic_forms(head, sigma)
-        self._half_pair_q = 0.5 * _pair_quadratic_forms(head, sigma)
+        q = _class_quadratic_forms(head, sigma)
+        K = (head.weights * sigma.variances) @ head.weights.T
+        np.fill_diagonal(K, q)
+        kappa = (-K).max(axis=0)
+        self._half_q = 0.5 * q
+        self._col_shift = q + kappa
+        self._E_off = np.exp(-K - kappa)
+        np.fill_diagonal(self._E_off, 0.0)
+        self._E_diag = np.exp(-self._col_shift)
+        self._half_pair_q = self._half_q[:, None] + self._half_q[None, :] - K
 
     def value_and_pullback(self, Z):
         """Losses of the (n, d) feature rows, and a pullback returning their
@@ -249,20 +291,43 @@ class AugmentedEntropyLoss:
         """
         Z = _feature_rows(self.head, Z)
         L = Z @ self.head.weights.T + self.head.biases
-        T = L[:, :, None] - L[:, None, :] + self._half_pair_q[None, :, :]
-        m = T.max(axis=1, keepdims=True)
-        E = np.exp(T - m)
-        inner = E.sum(axis=1, keepdims=True)
-        log_inner = (m + np.log(inner))[:, 0, :]
-        pbar = softmax_rows(L + self._half_q)
+        shifted = L + self._half_q
+        shifted -= shifted.max(axis=1, keepdims=True)
+        eu = np.exp(shifted)
+        pbar = eu / eu.sum(axis=1, keepdims=True)  # softmax_rows(u), bit for bit
+        S_off = eu @ self._E_off
+        S = S_off + eu * self._E_diag
+        with np.errstate(divide="ignore"):  # S_off = 0 gives -inf, and log inner = 0
+            log_ratio = np.log(S_off) - shifted + self._col_shift  # log(off-diagonal / diagonal)
+        log_inner = np.maximum(log_ratio, 0.0) + np.log1p(np.exp(-np.abs(log_ratio)))
+        exact = np.flatnonzero((S < _S_UNDERFLOW).any(axis=1))
+        S[exact] = 1.0  # any nonzero value; the pullback takes these rows from the pair form
+        log_inner[exact], R_exact = self._pair_form(L[exact], pbar[exact])
         total = (pbar * log_inner).sum(axis=1, keepdims=True)
 
         def pullback():
-            R = E / inner
-            coeff = pbar * log_inner - total * pbar + np.einsum("nij,nj->ni", R, pbar) - pbar
+            Rpbar_minus_pbar = eu * ((pbar / S) @ self._E_off.T) - pbar * (S_off / S)
+            Rpbar_minus_pbar[exact] = R_exact - pbar[exact]
+            coeff = pbar * (log_inner - total) + Rpbar_minus_pbar
             return coeff @ self.head.weights
 
         return total[:, 0], pullback
+
+    def _pair_form(self, L, pbar):
+        """Log inner sums and R pbar of the given logit rows, in the literal
+        pair form."""
+        C = L.shape[1]
+        log_inner, Rpbar = np.empty_like(L), np.empty_like(L)
+        chunk = max(1, _PAIR_CHUNK // (C * C))
+        for lo in range(0, L.shape[0], chunk):
+            part = slice(lo, lo + chunk)
+            T = L[part, :, None] - L[part, None, :] + self._half_pair_q
+            m = T.max(axis=1, keepdims=True)
+            E = np.exp(T - m)
+            inner = E.sum(axis=1, keepdims=True)
+            log_inner[part] = (m + np.log(inner))[:, 0, :]
+            Rpbar[part] = np.einsum("nij,nj->ni", E / inner, pbar[part])
+        return log_inner, Rpbar
 
 
 def augmented_entropy(head: ClassifierHead, z, sigma: DiagCovariance) -> float:

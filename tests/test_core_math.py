@@ -4,6 +4,8 @@ Expected constants were computed with a 60-digit mpmath evaluation of the
 defining formulas before the implementation existed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,3 +333,128 @@ def test_property_bias_translation(instance, c):
     np.testing.assert_allclose(
         robust_probs(head, z, sigma), robust_probs(shifted, z, sigma), atol=1e-9
     )
+
+
+def literal_pair_form(head, Z, sigma):
+    """The augmented entropy written out over class pairs in log space: q_ij
+    from explicit prototype differences, one log-sum-exp per (sample, j)."""
+    A, b, v = head.weights, head.biases, sigma.variances
+    diff = A[:, None, :] - A[None, :, :]
+    half_pair_q = 0.5 * (diff * diff) @ v
+    L = Z @ A.T + b
+    T = L[:, :, None] - L[:, None, :] + half_pair_q
+    m = T.max(axis=1)
+    log_inner = m + np.log(np.exp(T - m[:, None, :]).sum(axis=1))
+    u = L + 0.5 * (A * A) @ v
+    pbar = np.exp(u - u.max(axis=1, keepdims=True))
+    pbar /= pbar.sum(axis=1, keepdims=True)
+    return (pbar * log_inner).sum(axis=1)
+
+
+def kernel_instance(seed, C, d, scale, n=8):
+    """Head with weights and biases of size ``scale``, unit-size features."""
+    rng = np.random.default_rng(seed)
+    head = ClassifierHead(scale * rng.standard_normal((C, d)), scale * rng.standard_normal(C))
+    return head, rng.standard_normal((n, d)), DiagCovariance(rng.uniform(0.0, 2.0, d))
+
+
+@pytest.fixture
+def pair_form_rows(monkeypatch):
+    """How many rows ``AugmentedEntropyLoss`` recomputed in the pair form, per call."""
+    calls = []
+    original = AugmentedEntropyLoss._pair_form
+
+    def spy(self, L, pbar):
+        calls.append(L.shape[0])
+        return original(self, L, pbar)
+
+    monkeypatch.setattr(AugmentedEntropyLoss, "_pair_form", spy)
+    return calls
+
+
+class TestGemmForm:
+    """The two-product form of AugmentedEntropyLoss, its underflow fallback
+    and its memory use."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6), st.floats(0.05, 60.0))
+    def test_property_matches_pair_forms(self, seed, C, d, scale):
+        head, Z, sigma = kernel_instance(seed, C, d, scale)
+        got, _ = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+        assert (got >= 0.0).all()
+        np.testing.assert_allclose(got, literal_pair_form(head, Z, sigma), rtol=1e-9, atol=1e-12)
+        for z, v in zip(Z, got):
+            with np.errstate(all="ignore"):  # probability ratios overflow at large scales
+                decomposed = augmented_entropy_decomposed(head, z, sigma)
+            if np.isfinite(decomposed):
+                assert v == pytest.approx(decomposed, rel=1e-9, abs=1e-12)
+
+    def test_extreme_confidence_falls_back_and_agrees(self, pair_form_rows):
+        n_exact = []
+        for scale in (12.0, 50.0):
+            for seed in range(10):
+                head, Z, sigma = kernel_instance(seed, C=20, d=8, scale=scale)
+                L = Z @ head.weights.T + head.biases
+                assert (L.max(axis=1) - L.min(axis=1)).mean() >= 50.0
+                got, pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+                n_exact.append(pair_form_rows[-1])
+                np.testing.assert_allclose(got, literal_pair_form(head, Z, sigma), rtol=1e-9, atol=1e-12)
+                assert np.isfinite(pullback()).all()
+        # at scale 12 some batches mix exact and product rows; at 50 every row falls back
+        assert any(0 < k < 8 for k in n_exact[:10])
+        assert n_exact[10:] == [8] * 10
+
+    def test_fd_gradient_at_100_classes(self):
+        rng = np.random.default_rng(14)
+        head = ClassifierHead(rng.standard_normal((100, 16)) / 4.0, rng.standard_normal(100))
+        sigma = random_sigma(rng, 16)
+        loss = AugmentedEntropyLoss(head, sigma)
+        Z = rng.standard_normal((4, 16))
+        G = loss.value_and_pullback(Z)[1]()
+        for z, g in zip(Z, G):
+            fd = fd_gradient(lambda zz: loss.value_and_pullback(zz[None, :])[0][0], z)
+            assert fd_relative_error(g, fd) <= 1e-6
+
+    def test_fd_gradient_on_fallback_rows(self, pair_form_rows):
+        for seed in range(3):
+            head, Z, sigma = kernel_instance(seed, C=20, d=8, scale=50.0, n=2)
+            loss = AugmentedEntropyLoss(head, sigma)
+            G = loss.value_and_pullback(Z)[1]()
+            assert pair_form_rows[-1] == 2
+            for z, g in zip(Z, G):
+                fd = fd_gradient(lambda zz: loss.value_and_pullback(zz[None, :])[0][0], z, 1e-6)
+                assert fd_relative_error(g, fd) <= 1e-6
+
+    def test_single_class_is_exactly_zero(self):
+        rng = np.random.default_rng(15)
+        for scale in (1e-3, 1.0, 100.0):
+            head, Z, sigma = kernel_instance(int(rng.integers(1 << 30)), C=1, d=5, scale=scale)
+            losses, pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+            assert (losses == 0.0).all()
+            assert (pullback() == 0.0).all()
+
+    def test_no_pair_tensor_is_allocated(self, pair_form_rows):
+        rng = np.random.default_rng(16)
+        for C, d, limit in ((100, 64, 1 << 20), (1000, 512, 16 << 20)):
+            head = random_head(rng, C=C, d=d)
+            sigma = random_sigma(rng, d)
+            Z = rng.standard_normal((64, d))
+            loss = AugmentedEntropyLoss(head, sigma)
+            tracemalloc.start()
+            try:
+                losses, pullback = loss.value_and_pullback(Z)
+                G = pullback()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the (n, C, C) tensor alone is 5.1 MB at C=100 and 512 MB at C=1000
+            assert peak <= limit
+            assert pair_form_rows[-1] == 0  # measured on the finite path
+            assert np.isfinite(losses).all() and np.isfinite(G).all()
+        tracemalloc.start()
+        try:
+            AugmentedEntropyLoss(random_head(rng, C=300, d=64), random_sigma(rng, 64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20  # the (C, C, d) pair tensor alone is 46 MB
