@@ -11,11 +11,11 @@ from seva import (
     entropy,
     logits,
     mc_entropy,
-    mc_robust_probs,
     robust_probs,
     softmax,
     substream,
 )
+from seva.oracle import mc_robust_probs_estimate
 
 head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
 z = np.array([1.0, 0.0])
@@ -26,7 +26,7 @@ print("plain prediction     ", np.round(p, 5), " entropy", round(entropy(p), 5))
 
 pbar = robust_probs(head, z, sigma)
 print("robust prediction    ", np.round(pbar, 5), " (closed form)")
-p_mc = mc_robust_probs(head, z, sigma, 100_000, substream(0, "demo"))
+p_mc, _ = mc_robust_probs_estimate(head, z, sigma, 100_000, substream(0, "demo"))
 print("robust prediction    ", np.round(p_mc, 5), " (100k vicinal draws)")
 
 lae = augmented_entropy(head, z, sigma)

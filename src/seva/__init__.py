@@ -27,15 +27,11 @@ from .oracle import (
     bound_gap_report,
     bound_sweep,
     mc_entropy,
-    mc_robust_probs,
-    sample_vicinal,
 )
 from .model import (
     ToyNetwork,
     build_network,
     calibrate_covariance,
-    forward_features,
-    forward_probs,
     grad_loss_wrt_adaptable,
 )
 from .adapt import (
@@ -44,7 +40,6 @@ from .adapt import (
     RunTrace,
     StepReport,
     run_stream,
-    select,
     sgd_momentum_step,
     threshold_default,
 )
@@ -53,7 +48,6 @@ from .scenarios import (
     CorruptionSpec,
     StreamSpec,
     World,
-    corrupt,
     generate_stream,
     make_world,
     selection_f1,

@@ -55,7 +55,6 @@ __all__ = [
     "RunTrace",
     "Counters",
     "AdaptEngine",
-    "select",
     "threshold_default",
     "sgd_momentum_step",
     "run_stream",
@@ -230,14 +229,6 @@ class RunTrace:
     def concat(self, attr: str) -> np.ndarray:
         return np.concatenate([getattr(s, attr) for s in self.steps])
 
-    def concat_labels(self) -> np.ndarray:
-        return np.concatenate(self.labels)
-
-
-def select(loss_value: float, threshold: float) -> bool:
-    """Train on a sample iff its loss is strictly below the boundary."""
-    return bool(_below_threshold(loss_value, threshold))
-
 
 def threshold_default(C: int, rho: float) -> float:
     """Selection boundary rho * ln(C)."""
@@ -320,8 +311,6 @@ class AdaptEngine:
     def adapt_step(self, inputs) -> StepReport:
         """Predict, score, select, and (maybe) update on one batch."""
         X = np.asarray(inputs, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         if X.shape[0] == 0:
             raise ValueError("empty batch")
         if self.loss is None:

@@ -35,23 +35,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seva", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, help, writes_artifacts=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, metavar="PATH", help="JSON run config")
-        p.add_argument("--out", metavar="DIR", help="output directory override")
-        p.add_argument("--fast", action="store_true", help="fast Monte-Carlo mode")
-        p.add_argument("--seeds", type=int, metavar="N", help="override seeds with range(N)")
+        if writes_artifacts:
+            p.add_argument("--out", metavar="DIR", help="output directory override")
+            p.add_argument("--seeds", type=int, metavar="N", help="override seeds with range(N)")
+        return p
 
-    add_common(sub.add_parser("run", help="execute all (method x seed) cells"))
-    add_common(sub.add_parser("verify-bounds", help="Monte-Carlo bound certification sweep"))
-    ablate = sub.add_parser("ablate", help="component grid / hyperparameter sweeps")
-    add_common(ablate)
+    add_command("run", "execute all (method x seed) cells")
+    verify = add_command("verify-bounds", "Monte-Carlo bound certification sweep", writes_artifacts=False)
+    verify.add_argument("--fast", action="store_true", help="fast Monte-Carlo mode")
+    ablate = add_command("ablate", "component grid / hyperparameter sweeps")
     ablate.add_argument(
         "--sweep",
         choices=["components", "sigma_scale", "rho"],
         default="components",
         help="which grid to run (default: components)",
     )
-    add_common(sub.add_parser("time", help="timing and work-counter table"))
+    add_command("time", "timing and work-counter table")
     return parser
 
 
@@ -66,7 +68,7 @@ def _resolve_out_dir(args, cfg: RunConfig) -> Path:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    if args.seeds is not None:
+    if getattr(args, "seeds", None) is not None:
         cfg = resolve_config(dict(cfg.tree, seeds=list(range(args.seeds))))
     return cfg
 
@@ -79,8 +81,19 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = _resolve_out_dir(args, cfg)
     try:
+        if args.command == "verify-bounds":
+            reports, all_ok = execute_verify_bounds(cfg, fast=args.fast)
+            for i, report in enumerate(reports):
+                print(format_bound_report(i, report))
+            if not all_ok:
+                violations = [i for i, report in enumerate(reports) if not report.satisfied]
+                print(f"violated instances: {violations}", file=sys.stderr)
+                return EXIT_RUNTIME
+            print(f"all {len(reports)} bounds satisfied")
+            return EXIT_OK
+
+        out = _resolve_out_dir(args, cfg)
         if args.command == "run":
             result = execute_run(cfg, out)
             for row in result["rows"]:
@@ -89,19 +102,6 @@ def main(argv=None) -> int:
                     f"accuracy={row['accuracy']:.4f} selected={row['n_selected']}"
                 )
             print(f"summary: {result['summary']}")
-            return EXIT_OK
-
-        if args.command == "verify-bounds":
-            reports, all_ok = execute_verify_bounds(cfg, fast=args.fast)
-            violations = []
-            for i, report in enumerate(reports):
-                print(format_bound_report(i, report))
-                if not report.satisfied:
-                    violations.append(i)
-            if violations:
-                print(f"violated instances: {violations}", file=sys.stderr)
-                return EXIT_RUNTIME
-            print(f"all {len(reports)} bounds satisfied")
             return EXIT_OK
 
         if args.command == "ablate":

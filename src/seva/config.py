@@ -278,6 +278,11 @@ def resolve_config(raw: dict) -> RunConfig:
     )
     _require(tree["stream"]["batch_size"] >= 1, "stream.batch_size", "must be >= 1")
     _require(tree["stream"]["n_batches"] >= 1, "stream.n_batches", "must be >= 1")
+    _require(tree["max_world_retries"] >= 1, "max_world_retries", "must be >= 1")
+    mc = tree["mc"]
+    for key, low in (("n_instances", 1), ("n_samples", 2), ("fast_n_samples", 2), ("c_max", 2), ("d_max", 2)):
+        _require(mc[key] >= low, f"mc.{key}", f"must be >= {low}")
+    _require(mc["sigma_scale"] >= 0, "mc.sigma_scale", "must be >= 0")
     cfg = RunConfig(tree)
     try:
         names = [name for name, _ in cfg.methods()]  # surfaces MethodConfig errors with config context

@@ -44,7 +44,6 @@ __all__ = [
     "DiagCovariance",
     "logits",
     "softmax",
-    "log_softmax",
     "entropy",
     "softmax_rows",
     "log_softmax_rows",
@@ -165,10 +164,6 @@ def logits(head: ClassifierHead, z) -> np.ndarray:
 def softmax(values) -> np.ndarray:
     """Max-subtracted softmax of a logit vector."""
     return softmax_rows(_vector(values, "logits"))
-
-
-def log_softmax(values) -> np.ndarray:
-    return log_softmax_rows(_vector(values, "logits"))
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:

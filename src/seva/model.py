@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import ClassifierHead, DiagCovariance, DimensionMismatch, softmax_rows
+from .core_math import ClassifierHead, DiagCovariance, DimensionMismatch
 from .rng import substream
 
 __all__ = [
@@ -27,9 +27,7 @@ __all__ = [
     "ToyNetwork",
     "LayerCache",
     "build_network",
-    "forward_features",
     "forward_features_batch",
-    "forward_probs",
     "forward_with_caches",
     "backward_adaptable",
     "adaptable_params",
@@ -158,8 +156,6 @@ def _forward(net: ToyNetwork, X: np.ndarray, keep_caches: bool):
 
 def _check_input(net: ToyNetwork, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != net.d_in:
         raise DimensionMismatch(
             f"input batch has shape {X.shape}, network expects (n, {net.d_in})"
@@ -171,19 +167,6 @@ def forward_features_batch(net: ToyNetwork, X) -> np.ndarray:
     """(n, d) features for an (n, d_in) input batch."""
     feats, _ = _forward(net, _check_input(net, X), keep_caches=False)
     return feats
-
-
-def forward_features(net: ToyNetwork, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single input vector, got shape {x.shape}")
-    return forward_features_batch(net, x[None, :])[0]
-
-
-def forward_probs(net: ToyNetwork, x) -> np.ndarray:
-    """Class probabilities for a single input."""
-    z = forward_features(net, x)
-    return softmax_rows((z @ net.head.weights.T + net.head.biases)[None, :])[0]
 
 
 def forward_with_caches(net: ToyNetwork, X) -> tuple[np.ndarray, list[LayerCache]]:

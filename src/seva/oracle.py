@@ -26,6 +26,7 @@ from .core_math import (
     DiagCovariance,
     DimensionMismatch,
     augmented_entropy,
+    log_softmax_rows,
 )
 from .rng import substream
 
@@ -33,10 +34,8 @@ __all__ = [
     "McEstimate",
     "BoundGapReport",
     "BOUND_ATOL",
-    "sample_vicinal",
     "vicinal_batch",
     "mc_entropy",
-    "mc_robust_probs",
     "mc_robust_probs_estimate",
     "bound_gap_report",
     "random_instance",
@@ -76,26 +75,12 @@ class BoundGapReport:
     satisfied: bool
 
 
-def _sqrt_variances(z: np.ndarray, sigma: DiagCovariance) -> np.ndarray:
-    if sigma.dim != z.shape[-1]:
-        raise DimensionMismatch(
-            f"covariance has dim {sigma.dim}, feature has dim {z.shape[-1]}"
-        )
-    return np.sqrt(sigma.variances)
-
-
-def sample_vicinal(z, sigma: DiagCovariance, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(z, Sigma) with diagonal Sigma."""
-    z = np.asarray(z, dtype=np.float64)
-    std = _sqrt_variances(z, sigma)
-    return z + rng.standard_normal(z.shape[0]) * std
-
-
 def vicinal_batch(z, sigma: DiagCovariance, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, d) matrix of independent draws from N(z, Sigma)."""
     z = np.asarray(z, dtype=np.float64)
-    std = _sqrt_variances(z, sigma)
-    return z[None, :] + rng.standard_normal((n, z.shape[0])) * std[None, :]
+    if sigma.dim != z.shape[-1]:
+        raise DimensionMismatch(f"covariance has dim {sigma.dim}, feature has dim {z.shape[-1]}")
+    return z[None, :] + rng.standard_normal((n, z.shape[0])) * np.sqrt(sigma.variances)[None, :]
 
 
 def mc_entropy(
@@ -109,24 +94,10 @@ def mc_entropy(
     if n < 2:
         raise ValueError(f"need n >= 2 samples, got {n}")
     zs = vicinal_batch(z, sigma, rng, n)
-    L = zs @ head.weights.T + head.biases
-    shifted = L - L.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = log_softmax_rows(zs @ head.weights.T + head.biases)
     p = np.exp(logp)
     ent = -(p * logp).sum(axis=1)
     return McEstimate(float(ent.mean()), float(ent.std(ddof=1) / np.sqrt(n)), n)
-
-
-def mc_robust_probs(
-    head: ClassifierHead,
-    z,
-    sigma: DiagCovariance,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Ratio of Monte-Carlo means estimating the robust prediction."""
-    probs, _ = mc_robust_probs_estimate(head, z, sigma, n, rng)
-    return probs
 
 
 def mc_robust_probs_estimate(

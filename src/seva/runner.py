@@ -15,7 +15,8 @@ import csv
 import json
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,22 @@ class CellResult:
         return self.trace.accuracy
 
     @property
-    def mean_loss(self) -> float:
-        return float(np.mean(self.trace.concat("losses")))
-
-    @property
     def n_selected(self) -> int:
         return int(self.trace.concat("selected").sum())
+
+    @cached_property
+    def summary(self) -> dict:
+        """The cell's outcome, written both as the JSONL summary record and
+        into its summary.csv row."""
+        return {
+            "accuracy": self.accuracy,
+            "mean_loss": float(np.mean(self.trace.concat("losses"))),
+            "n_selected": self.n_selected,
+            "n_updates": sum(1 for s in self.trace.steps if s.updated),
+            "selection_precision": self.selection.precision,
+            "selection_recall": self.selection.recall,
+            "selection_f1": self.selection.f1,
+        }
 
 
 def build_world_and_model(cfg: RunConfig) -> tuple[World, ToyNetwork, float]:
@@ -199,21 +210,14 @@ def run_cell(
         engine.calibrate(inputs[:n_calib])
         calib_wall = time.perf_counter() - t0
     trace = run_stream(engine, stream)
-    score = selection_f1(trace)
-    counters = {
-        "n_forward": engine.counters.n_forward,
-        "n_backward": engine.counters.n_backward,
-        "n_optimizer_steps": engine.counters.n_optimizer_steps,
-        "n_calibration_forward": engine.counters.n_calibration_forward,
-    }
     return CellResult(
         name=name,
         method=method,
         seed=run_seed,
         trace=trace,
-        selection=score,
+        selection=selection_f1(trace),
         clean_accuracy=clean_acc,
-        counters=counters,
+        counters=asdict(engine.counters),
         calib_wall_time=calib_wall,
         config_hash=config_hash(cfg),
     )
@@ -265,20 +269,7 @@ def trace_lines(result: CellResult, cfg: RunConfig) -> list[str]:
                 }
             )
         )
-    lines.append(
-        _json_line(
-            {
-                "record": "summary",
-                "accuracy": result.accuracy,
-                "mean_loss": result.mean_loss,
-                "n_selected": result.n_selected,
-                "n_updates": sum(1 for s in result.trace.steps if s.updated),
-                "selection_precision": result.selection.precision,
-                "selection_recall": result.selection.recall,
-                "selection_f1": result.selection.f1,
-            }
-        )
-    )
+    lines.append(_json_line({"record": "summary", **result.summary}))
     return lines
 
 
@@ -294,18 +285,9 @@ def summary_row(result: CellResult, cfg: RunConfig) -> dict:
         "seed": result.seed,
         "n_samples": spec_tree["batch_size"] * spec_tree["n_batches"],
         "batch_size": spec_tree["batch_size"],
-        "accuracy": result.accuracy,
         "clean_accuracy": result.clean_accuracy,
-        "mean_loss": result.mean_loss,
-        "n_selected": result.n_selected,
-        "n_updates": sum(1 for s in result.trace.steps if s.updated),
-        "selection_precision": result.selection.precision,
-        "selection_recall": result.selection.recall,
-        "selection_f1": result.selection.f1,
-        "n_forward": result.counters["n_forward"],
-        "n_backward": result.counters["n_backward"],
-        "n_optimizer_steps": result.counters["n_optimizer_steps"],
-        "n_calibration_forward": result.counters["n_calibration_forward"],
+        **result.summary,
+        **result.counters,
         "config_hash": result.config_hash,
         "calib_wall_time": result.calib_wall_time,
         "stream_wall_time": result.trace.wall_time,

@@ -35,7 +35,6 @@ __all__ = [
     "CORRUPTION_KINDS",
     "make_world",
     "sample_clean",
-    "corrupt",
     "corrupt_batch",
     "generate_stream",
     "fit_head",
@@ -111,7 +110,7 @@ class LabelSchedule:
 
 @dataclass(frozen=True)
 class CorruptionSchedule:
-    """single (one spec throughout) | mixture (switch at segment boundaries)."""
+    """One spec throughout, or a mixture switching specs at segment boundaries."""
 
     specs: tuple[CorruptionSpec, ...]
     segment_len: int = 0  # samples per mixture segment; 0 = split evenly
@@ -119,10 +118,6 @@ class CorruptionSchedule:
     def __post_init__(self):
         if len(self.specs) < 1:
             raise ValueError("corruption schedule needs at least one spec")
-
-    @classmethod
-    def single(cls, spec: CorruptionSpec) -> "CorruptionSchedule":
-        return cls((spec,))
 
 
 @dataclass(frozen=True)
@@ -235,12 +230,6 @@ def corrupt_batch(X: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator)
     out = X.copy()
     out[:, idx] = 0.0
     return out
-
-
-def corrupt(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:
-    """Single-sample corruption; deterministic given the stream generator."""
-    x = np.asarray(x, dtype=np.float64)
-    return corrupt_batch(x[None, :], spec, rng)[0]
 
 
 def _draw_labels(spec: StreamSpec, C: int, rng: np.random.Generator) -> np.ndarray:
@@ -363,7 +352,7 @@ class SelectionScore:
     empty_selection: bool
 
 
-def selection_f1(run: RunTrace, labels=None) -> SelectionScore:
+def selection_f1(run: RunTrace) -> SelectionScore:
     """F1 of the selection decisions against the reliable-sample criterion.
 
     Precision is defined as 0 on an empty selection (flagged); recall is 0
@@ -371,12 +360,7 @@ def selection_f1(run: RunTrace, labels=None) -> SelectionScore:
     """
     selected = run.concat("selected").astype(bool)
     predicted = run.concat("predicted")
-    labels = run.concat_labels() if labels is None else np.asarray(labels)
-    if labels.shape[0] != predicted.shape[0]:
-        raise ValueError(
-            f"labels length {labels.shape[0]} does not match run length {predicted.shape[0]}"
-        )
-    reliable = predicted == labels
+    reliable = predicted == np.concatenate(run.labels)
     tp = int((selected & reliable).sum())
     n_sel = int(selected.sum())
     n_rel = int(reliable.sum())

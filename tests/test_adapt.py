@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from seva.adapt import (
+    RECIPES,
     AdaptEngine,
     MethodConfig,
     OptimizerState,
     run_stream,
-    select,
     sgd_momentum_step,
     threshold_default,
 )
@@ -18,6 +18,7 @@ from seva.core_math import (
     AugmentedEntropyLoss,
     ClassifierHead,
     DiagCovariance,
+    DimensionMismatch,
     EntropyLoss,
     augmented_entropy,
     entropy,
@@ -27,16 +28,21 @@ from seva.model import adaptable_params, batch_loss, build_network, forward_feat
 from seva.scenarios import Batch
 
 
+def selected(losses, threshold):
+    """The engine's strict selection rule on a batch of losses, as Python bools."""
+    return RECIPES["seva"].select(np.asarray(losses, dtype=np.float64), threshold).tolist()
+
+
 class TestSelect:
     def test_strict_boundary(self):
         for t in (0.0, 0.5, math.log(1000)):
-            assert select(t, t) is False
+            assert selected([t], t) == [False]
 
     def test_zero_loss_positive_threshold(self):
-        assert select(0.0, math.log(2)) is True
+        assert selected([0.0], math.log(2)) == [True]
 
     def test_above_threshold(self):
-        assert select(2.0, 1.0) is False
+        assert selected([2.0], 1.0) == [False]
 
     def test_confusing_sample_excluded_by_weighted_loss_only(self):
         # two near-equal probabilities on far-apart prototypes: entropy stays
@@ -51,9 +57,9 @@ class TestSelect:
         lae = augmented_entropy(head, z, sigma)
         threshold = threshold_default(2, 1.2)
         assert h == pytest.approx(math.log(2), abs=1e-12)
-        assert select(h, threshold) is True  # kept by an entropy threshold
+        assert selected([h], threshold) == [True]  # kept by an entropy threshold
         assert lae > threshold
-        assert select(lae, threshold) is False  # excluded by the weighted loss
+        assert selected([lae], threshold) == [False]  # excluded by the weighted loss
 
 
 class TestThresholdDefault:
@@ -62,7 +68,7 @@ class TestThresholdDefault:
 
     def test_single_class_rejects_everything(self):
         assert threshold_default(1, 1.0) == 0.0
-        assert select(0.0, threshold_default(1, 1.0)) is False
+        assert selected([0.0], threshold_default(1, 1.0)) == [False]
 
     def test_formula(self):
         assert threshold_default(10, 1.0) == pytest.approx(math.log(10))
@@ -207,6 +213,18 @@ class TestAdaptStep:
         engine = AdaptEngine(net, MethodConfig(kind="tent", lr=0.01))
         with pytest.raises(ValueError, match="empty batch"):
             engine.adapt_step(np.zeros((0, 6)))
+
+
+    @pytest.mark.parametrize("kind", ["tent", "seva"])
+    def test_single_vector_is_not_a_batch(self, kind):
+        net, stream = small_setup()
+        engine = AdaptEngine(net, MethodConfig(kind=kind, lr=0.01))
+        engine.calibrate(np.concatenate([b.inputs for b in stream]))
+        before = adaptable_params(net)
+        with pytest.raises(DimensionMismatch):
+            engine.adapt_step(stream[0].inputs[0])
+        np.testing.assert_array_equal(adaptable_params(net), before)
+        assert engine.counters.n_forward == 0
 
 
 class TestExplicitVa:
@@ -391,7 +409,6 @@ class TestConfusingFamilyMonotonicity:
         threshold = threshold_default(2, rho)
         z = np.array([0.0, 1.0])
         laes = []
-        decisions = []
         deltas = np.linspace(0.0, 4.0, 41)
         for delta in deltas:
             head = ClassifierHead(np.array([[delta / 2, 0.0], [-delta / 2, 0.0]]), np.zeros(2))
@@ -399,7 +416,7 @@ class TestConfusingFamilyMonotonicity:
             assert abs(h - math.log(2)) <= 1e-9
             lae = augmented_entropy(head, z, sigma)
             laes.append(lae)
-            decisions.append(select(lae, threshold))
+        decisions = selected(laes, threshold)
         laes = np.array(laes)
         assert (np.diff(laes) > 0).all()  # strictly increasing in the quadratic form
         flips = sum(1 for a, b in zip(decisions, decisions[1:]) if a != b)

@@ -223,6 +223,14 @@ class TestCli:
             ["'methods[1].name'", "duplicate"],
             id="name_equals_generated_name",
         ),
+        # out-of-range values that would otherwise fail later, or certify nothing
+        pytest.param({"mc": {"n_instances": 0}}, ["'mc.n_instances'"], id="zero_mc_instances"),
+        pytest.param({"mc": {"n_samples": 1}}, ["'mc.n_samples'"], id="one_mc_sample"),
+        pytest.param({"mc": {"fast_n_samples": 1}}, ["'mc.fast_n_samples'"], id="one_fast_mc_sample"),
+        pytest.param({"mc": {"c_max": 1}}, ["'mc.c_max'"], id="mc_c_max_below_two"),
+        pytest.param({"mc": {"d_max": 1}}, ["'mc.d_max'"], id="mc_d_max_below_two"),
+        pytest.param({"mc": {"sigma_scale": -0.5}}, ["'mc.sigma_scale'"], id="negative_mc_sigma_scale"),
+        pytest.param({"max_world_retries": 0}, ["'max_world_retries'"], id="zero_world_retries"),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))
@@ -231,6 +239,20 @@ class TestCli:
         assert err.startswith("invalid config:")
         for text in named:
             assert text in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--fast"], id="run_fast"),
+        pytest.param(["ablate", "--fast"], id="ablate_fast"),
+        pytest.param(["time", "--fast"], id="time_fast"),
+        pytest.param(["verify-bounds", "--seeds", "2"], id="verify_bounds_seeds"),
+        pytest.param(["verify-bounds", "--out", "elsewhere"], id="verify_bounds_out"),
+    ])
+    def test_flag_the_command_ignores_exit_two(self, tmp_path, capsys, argv):
+        cfg_path = write_config(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_seeds_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)

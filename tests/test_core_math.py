@@ -22,7 +22,7 @@ from seva.core_math import (
     entropy,
     grad_augmented_entropy_wrt_feature,
     grad_entropy_wrt_feature,
-    log_softmax,
+    log_softmax_rows,
     logits,
     robust_probs,
     softmax,
@@ -198,7 +198,7 @@ class TestAugmentedEntropy:
             sigma = random_sigma(rng, head.feature_dim)
             lae = augmented_entropy(head, z, sigma)
             pbar = robust_probs(head, z, sigma)
-            ce = float(-(pbar @ log_softmax(logits(head, z))))
+            ce = float(-(pbar @ log_softmax_rows(logits(head, z))))
             assert lae >= 0.0
             assert lae >= ce - 1e-10
             assert ce >= entropy(pbar) - 1e-10  # Gibbs
@@ -316,7 +316,7 @@ def test_property_bound_chain(instance):
     head, z, sigma = instance
     lae = augmented_entropy(head, z, sigma)
     pbar = robust_probs(head, z, sigma)
-    ce = float(-(pbar @ log_softmax(logits(head, z))))
+    ce = float(-(pbar @ log_softmax_rows(logits(head, z))))
     assert lae >= -1e-12
     assert lae >= ce - 1e-9  # dominates the (robust, plain) cross entropy
     assert ce >= entropy(pbar) - 1e-9  # which dominates the robust entropy

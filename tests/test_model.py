@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seva.core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss
+from seva.core_math import AugmentedEntropyLoss, DiagCovariance, DimensionMismatch, EntropyLoss, softmax_rows
 from seva.model import (
     NORM_EPS,
     adaptable_layout,
@@ -11,13 +11,21 @@ from seva.model import (
     batch_loss,
     build_network,
     calibrate_covariance,
-    forward_features,
     forward_features_batch,
-    forward_probs,
     forward_with_caches,
     grad_loss_wrt_adaptable,
     set_adaptable_params,
 )
+
+
+def feature(net, x):
+    """The feature of one input, as row 0 of a batch of one."""
+    return forward_features_batch(net, np.asarray(x)[None, :])[0]
+
+
+def probs(net, X):
+    """Class probabilities of an (n, d_in) input batch."""
+    return softmax_rows(forward_features_batch(net, X) @ net.head.weights.T + net.head.biases)
 
 
 def reference_forward(net, x):
@@ -74,7 +82,7 @@ class TestBuild:
     def test_identity_extractor(self):
         ident = build_network(seed=1, d_in=5, d=5, C=3, n_layers=0, groups=1)
         x = np.array([0.1, -2.0, 3.0, 0.0, 1.0])
-        np.testing.assert_array_equal(forward_features(ident, x), x)
+        np.testing.assert_array_equal(feature(ident, x), x)
 
     def test_identity_needs_matching_dims(self):
         with pytest.raises(ValueError, match="d_in == d"):
@@ -101,7 +109,7 @@ class TestBuild:
             activation=spec["activation"],
         )
         x = np.linspace(-1, 1, 6)
-        np.testing.assert_array_equal(forward_features(net, x), forward_features(rebuilt, x))
+        np.testing.assert_array_equal(feature(net, x), feature(rebuilt, x))
 
 
 class TestForward:
@@ -119,11 +127,11 @@ class TestForward:
         for _ in range(10):
             x = rng.standard_normal(6) * 2
             np.testing.assert_allclose(
-                forward_features(net, x), reference_forward(net, x), atol=1e-12
+                feature(net, x), reference_forward(net, x), atol=1e-12
             )
 
     def test_golden_vector(self, net):
-        np.testing.assert_allclose(forward_features(net, GOLDEN_X), GOLDEN_FEATURE, atol=1e-12)
+        np.testing.assert_allclose(feature(net, GOLDEN_X), GOLDEN_FEATURE, atol=1e-12)
 
     def test_zero_input_with_beta_path(self, net):
         # W @ 0 = 0, a constant group normalizes to 0, so the first block
@@ -131,7 +139,7 @@ class TestForward:
         beta = np.linspace(-0.5, 0.5, 8)
         net.layers[0].beta = beta.copy()
         x = np.zeros(6)
-        feats = forward_features(net, x)
+        feats = feature(net, x)
         np.testing.assert_allclose(feats, reference_forward(net, x), atol=1e-12)
         first_block = np.tanh(beta)
         v = np.array([float(net.layers[1].weight[i] @ first_block) for i in range(8)])
@@ -149,7 +157,7 @@ class TestForward:
     def test_batch_equals_single(self, net):
         X = np.random.default_rng(2).standard_normal((64, 6))
         batched = forward_features_batch(net, X)
-        singles = np.stack([forward_features(net, row) for row in X])
+        singles = np.stack([forward_features_batch(net, X[i : i + 1])[0] for i in range(len(X))])
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
     def test_no_cross_sample_coupling(self, net):
@@ -162,20 +170,24 @@ class TestForward:
 
     def test_repeated_calls_bit_identical(self, net):
         x = np.random.default_rng(4).standard_normal(6)
-        np.testing.assert_array_equal(forward_features(net, x), forward_features(net, x))
+        np.testing.assert_array_equal(feature(net, x), feature(net, x))
 
     def test_forward_probs(self, net):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = forward_probs(net, rng.standard_normal(6))
-            assert abs(p.sum() - 1.0) <= 1e-12
-            assert (p >= 0).all()
+        P = probs(net, np.random.default_rng(5).standard_normal((100, 6)))
+        assert (np.abs(P.sum(axis=1) - 1.0) <= 1e-12).all()
+        assert (P >= 0).all()
+
+    @pytest.mark.parametrize("forward", [forward_features_batch, forward_with_caches])
+    def test_single_vector_is_not_a_batch(self, net, forward):
+        # one sample is a (1, d_in) batch; a bare (d_in,) vector fails loudly
+        with pytest.raises(DimensionMismatch):
+            forward(net, np.zeros(6))
 
     def test_uniform_head_gives_uniform_probs(self, net):
         from seva.core_math import ClassifierHead
 
         net.head = ClassifierHead(np.tile(np.linspace(0, 1, 8), (4, 1)), np.zeros(4))
-        p = forward_probs(net, np.random.default_rng(6).standard_normal(6))
+        p = probs(net, np.random.default_rng(6).standard_normal((1, 6)))
         np.testing.assert_allclose(p, 0.25, atol=1e-12)
 
 
@@ -264,7 +276,7 @@ class TestCalibration:
         X = np.tile(np.linspace(-1, 1, 6), (10, 1))
         sigma = calibrate_covariance(net, X, 1.5)
         assert (sigma.variances <= 1e-30).all()  # zero up to mean-rounding
-        z = forward_features(net, X[0])
+        z = forward_features_batch(net, X[:1])[0]
         lae = augmented_entropy(net.head, z, sigma)
         h = entropy(softmax(z @ net.head.weights.T + net.head.biases))
         assert lae == pytest.approx(h, abs=1e-9)  # degenerates to plain entropy

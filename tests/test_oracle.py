@@ -18,9 +18,7 @@ from seva.oracle import (
     bound_gap_report,
     bound_sweep,
     mc_entropy,
-    mc_robust_probs,
     mc_robust_probs_estimate,
-    sample_vicinal,
     vicinal_batch,
 )
 from seva.rng import substream
@@ -30,18 +28,18 @@ from conftest import random_head, random_sigma
 class TestSampleVicinal:
     def test_zero_sigma_returns_z_exactly(self):
         z = np.array([0.3, -1.2, 4.0])
-        out = sample_vicinal(z, DiagCovariance.zeros(3), substream(0))
-        np.testing.assert_array_equal(out, z)
+        out = vicinal_batch(z, DiagCovariance.zeros(3), substream(0), 1)
+        np.testing.assert_array_equal(out, z[None, :])
 
     def test_seeded_sequence_is_reproducible(self):
         z = np.zeros(4)
         sigma = DiagCovariance(np.array([1.0, 2.0, 0.5, 0.1]))
-        a = [sample_vicinal(z, sigma, substream(42, "s")) for _ in range(1)]
-        first = [sample_vicinal(z, sigma, substream(42, "s")) for _ in range(1)]
+        a = vicinal_batch(z, sigma, substream(42, "s"), 1)
+        first = vicinal_batch(z, sigma, substream(42, "s"), 1)
         np.testing.assert_array_equal(a, first)
         gen1, gen2 = substream(7), substream(7)
-        seq1 = [sample_vicinal(z, sigma, gen1) for _ in range(5)]
-        seq2 = [sample_vicinal(z, sigma, gen2) for _ in range(5)]
+        seq1 = [vicinal_batch(z, sigma, gen1, 1) for _ in range(5)]
+        seq2 = [vicinal_batch(z, sigma, gen2, 1) for _ in range(5)]
         np.testing.assert_array_equal(seq1, seq2)
 
     def test_moments_match_target_distribution(self):
@@ -91,7 +89,7 @@ class TestMcEntropy:
 class TestMcRobustProbs:
     def test_zero_sigma_equals_softmax(self, h3):
         z = np.array([1.0, 0.0])
-        got = mc_robust_probs(h3, z, DiagCovariance.zeros(2), 100, substream(0))
+        got, _ = mc_robust_probs_estimate(h3, z, DiagCovariance.zeros(2), 100, substream(0))
         np.testing.assert_allclose(got, softmax(logits(h3, z)), rtol=0, atol=1e-14)
 
     def test_h3_within_three_stderr(self, h3, sigma_half):
@@ -106,8 +104,8 @@ class TestMcRobustProbs:
         z = np.array([1.0, 0.0])
         perm = np.array([2, 0, 1])
         permuted_head = ClassifierHead(h3.weights[perm], h3.biases[perm])
-        base = mc_robust_probs(h3, z, sigma_half, 4000, substream(5, "p"))
-        permuted = mc_robust_probs(permuted_head, z, sigma_half, 4000, substream(5, "p"))
+        base, _ = mc_robust_probs_estimate(h3, z, sigma_half, 4000, substream(5, "p"))
+        permuted, _ = mc_robust_probs_estimate(permuted_head, z, sigma_half, 4000, substream(5, "p"))
         np.testing.assert_allclose(permuted, base[perm], rtol=0, atol=1e-14)
 
     def test_random_instances_within_three_stderr(self):
