@@ -4,6 +4,11 @@
 # construction time, the value+pullback time (medians) and the tracemalloc
 # peak of one value+pullback call. The loss never forms an (n, C, C) or
 # (C, C, d) array, so C=1000, d=512 runs in a few MB.
+#
+# A second table times the Monte-Carlo oracle's mc_entropy at n=100 000
+# draws for (C, d) in {(10, 16), (100, 64)}: mean wall time of 2 calls
+# and the tracemalloc peak of one call. It samples in fixed-size chunks,
+# so its peak does not grow with the full (n, C) logit array.
 import os
 
 # BLAS is pinned to one thread before numpy is first imported, so the
@@ -17,9 +22,12 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from seva.core_math import AugmentedEntropyLoss, ClassifierHead, DiagCovariance  # noqa: E402
+from seva.oracle import mc_entropy  # noqa: E402
 
 SHAPES = ((10, 16), (100, 64), (300, 64), (1000, 512))  # (C, d)
 N_FEATURES = 64
+MC_SHAPES = ((10, 16), (100, 64))  # (C, d)
+MC_DRAWS = 100_000
 
 
 def _median_ms(fn, reps):
@@ -31,21 +39,41 @@ def _median_ms(fn, reps):
     return 1e3 * float(np.median(times))
 
 
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _instance(C, d):
+    rng = np.random.default_rng(C)
+    head = ClassifierHead(rng.standard_normal((C, d)) / np.sqrt(d), np.zeros(C))
+    return rng, head, DiagCovariance(rng.uniform(0.0, 1.0, d))
+
+
 def sweep(shapes=SHAPES, n=N_FEATURES, reps=15):
     rows = []
     for C, d in shapes:
-        rng = np.random.default_rng(C)
-        head = ClassifierHead(rng.standard_normal((C, d)) / np.sqrt(d), np.zeros(C))
-        sigma = DiagCovariance(rng.uniform(0.0, 1.0, d))
+        rng, head, sigma = _instance(C, d)
         Z = rng.standard_normal((n, d))
         build_ms = _median_ms(lambda: AugmentedEntropyLoss(head, sigma), reps)
         loss = AugmentedEntropyLoss(head, sigma)
         call_ms = _median_ms(lambda: loss.value_and_pullback(Z)[1](), reps)
-        tracemalloc.start()
-        loss.value_and_pullback(Z)[1]()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        rows.append({"C": C, "d": d, "n": n, "build_ms": build_ms, "call_ms": call_ms, "peak_mb": peak / 2**20})
+        peak_mb = _peak_mb(lambda: loss.value_and_pullback(Z)[1]())
+        rows.append({"C": C, "d": d, "n": n, "build_ms": build_ms, "call_ms": call_ms, "peak_mb": peak_mb})
+    return rows
+
+
+def mc_sweep(shapes=MC_SHAPES, n=MC_DRAWS, reps=2):
+    rows = []
+    for C, d in shapes:
+        rng, head, sigma = _instance(C, d)
+        z = rng.standard_normal(d)
+        call = lambda: mc_entropy(head, z, sigma, n, np.random.default_rng(0))  # noqa: E731
+        rows.append({"C": C, "d": d, "n": n, "call_ms": _median_ms(call, reps), "peak_mb": _peak_mb(call)})
     return rows
 
 
@@ -56,3 +84,6 @@ if __name__ == "__main__":
     print(f"{'C':>5} {'d':>4} {'n':>3} {'build ms':>9} {'value+pullback ms':>18} {'peak MB':>8}")
     for r in sweep():
         print(f"{r['C']:5d} {r['d']:4d} {r['n']:3d} {r['build_ms']:9.2f} {r['call_ms']:18.3f} {r['peak_mb']:8.2f}")
+    print(f"\n{'C':>5} {'d':>4} {'n':>7} {'mc_entropy ms':>14} {'peak MB':>8}")
+    for r in mc_sweep():
+        print(f"{r['C']:5d} {r['d']:4d} {r['n']:7d} {r['call_ms']:14.1f} {r['peak_mb']:8.2f}")

@@ -42,6 +42,7 @@ from .model import (
     adaptable_params,
     backward_adaptable,
     calibrate_covariance,
+    check_input,
     forward_with_caches,
     set_adaptable_params,
 )
@@ -310,7 +311,7 @@ class AdaptEngine:
 
     def adapt_step(self, inputs) -> StepReport:
         """Predict, score, select, and (maybe) update on one batch."""
-        X = np.asarray(inputs, dtype=np.float64)
+        X = check_input(self.net, inputs)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
         if self.loss is None:

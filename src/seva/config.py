@@ -270,7 +270,10 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(len(set(tree["seeds"])) == len(tree["seeds"]), "seeds", f"duplicate seed in {tree['seeds']}")
     _require(tree["calibration_samples"] >= 2, "calibration_samples", "must be >= 2")
     _require(tree["world"]["n_classes"] >= 2, "world.n_classes", "must be >= 2")
+    _require(tree["world"]["d_in"] >= 1, "world.d_in", "must be >= 1")
+    _require(0 <= tree["min_clean_accuracy"] <= 1, "min_clean_accuracy", "must be in [0, 1]")
     nw = tree["network"]
+    _require(nw["n_layers"] >= 0, "network.n_layers", "must be >= 0")
     _require(
         nw["n_layers"] == 0 or (nw["groups"] >= 1 and nw["feature_dim"] % nw["groups"] == 0),
         "network.groups",

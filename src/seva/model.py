@@ -27,6 +27,7 @@ __all__ = [
     "ToyNetwork",
     "LayerCache",
     "build_network",
+    "check_input",
     "forward_features_batch",
     "forward_with_caches",
     "backward_adaptable",
@@ -109,6 +110,8 @@ def build_network(
         raise ValueError(f"unknown activation '{activation}'")
     if d_in < 1 or d < 1 or C < 1:
         raise ValueError(f"invalid dims d_in={d_in}, d={d}, C={C}")
+    if n_layers < 0:
+        raise ValueError(f"n_layers must be >= 0, got {n_layers}")
     if n_layers == 0 and d_in != d:
         raise ValueError(f"identity extractor needs d_in == d, got {d_in} != {d}")
     if n_layers > 0 and d % groups != 0:
@@ -154,7 +157,8 @@ def _forward(net: ToyNetwork, X: np.ndarray, keep_caches: bool):
     return v, caches
 
 
-def _check_input(net: ToyNetwork, X) -> np.ndarray:
+def check_input(net: ToyNetwork, X) -> np.ndarray:
+    """X as a float64 (n, d_in) batch; anything else raises DimensionMismatch."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.d_in:
         raise DimensionMismatch(
@@ -165,13 +169,13 @@ def _check_input(net: ToyNetwork, X) -> np.ndarray:
 
 def forward_features_batch(net: ToyNetwork, X) -> np.ndarray:
     """(n, d) features for an (n, d_in) input batch."""
-    feats, _ = _forward(net, _check_input(net, X), keep_caches=False)
+    feats, _ = _forward(net, check_input(net, X), keep_caches=False)
     return feats
 
 
 def forward_with_caches(net: ToyNetwork, X) -> tuple[np.ndarray, list[LayerCache]]:
     """Features plus the per-layer intermediates the backward pass consumes."""
-    X = _check_input(net, X)
+    X = check_input(net, X)
     feats, caches = _forward(net, X, keep_caches=True)
     return feats, caches
 
@@ -245,7 +249,7 @@ def batch_loss(net: ToyNetwork, X, loss) -> float:
 
 def grad_loss_wrt_adaptable(net: ToyNetwork, X, loss) -> np.ndarray:
     """Gradient of the batch-mean ``loss`` w.r.t. all (gamma, beta) parameters."""
-    X = _check_input(net, X)
+    X = check_input(net, X)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     feats, caches = forward_with_caches(net, X)
@@ -259,7 +263,7 @@ def calibrate_covariance(net: ToyNetwork, calibration_inputs, scale: float) -> D
     Fixed for the whole run once computed; identical inputs or scale = 0
     give the zero covariance, collapsing the augmented loss to plain entropy.
     """
-    X = _check_input(net, calibration_inputs)
+    X = check_input(net, calibration_inputs)
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 calibration inputs, got {X.shape[0]}")
     feats = forward_features_batch(net, X)

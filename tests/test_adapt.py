@@ -217,14 +217,19 @@ class TestAdaptStep:
 
     @pytest.mark.parametrize("kind", ["tent", "seva"])
     def test_single_vector_is_not_a_batch(self, kind):
+        # the batch's shape is checked first: before its length is read, and
+        # before an uncalibrated engine would report missing calibration
         net, stream = small_setup()
-        engine = AdaptEngine(net, MethodConfig(kind=kind, lr=0.01))
-        engine.calibrate(np.concatenate([b.inputs for b in stream]))
-        before = adaptable_params(net)
-        with pytest.raises(DimensionMismatch):
-            engine.adapt_step(stream[0].inputs[0])
-        np.testing.assert_array_equal(adaptable_params(net), before)
-        assert engine.counters.n_forward == 0
+        for calibrated in (False, True):
+            engine = AdaptEngine(net, MethodConfig(kind=kind, lr=0.01))
+            if calibrated:
+                engine.calibrate(np.concatenate([b.inputs for b in stream]))
+            before = adaptable_params(net)
+            for bad in (stream[0].inputs[0], np.float64(1.0)):
+                with pytest.raises(DimensionMismatch):
+                    engine.adapt_step(bad)
+            np.testing.assert_array_equal(adaptable_params(net), before)
+            assert engine.counters.n_forward == 0
 
 
 class TestExplicitVa:

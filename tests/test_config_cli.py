@@ -231,6 +231,15 @@ class TestCli:
         pytest.param({"mc": {"d_max": 1}}, ["'mc.d_max'"], id="mc_d_max_below_two"),
         pytest.param({"mc": {"sigma_scale": -0.5}}, ["'mc.sigma_scale'"], id="negative_mc_sigma_scale"),
         pytest.param({"max_world_retries": 0}, ["'max_world_retries'"], id="zero_world_retries"),
+        pytest.param({"world": {"d_in": 0}}, ["'world.d_in'"], id="zero_d_in"),
+        pytest.param({"min_clean_accuracy": 2.0}, ["'min_clean_accuracy'"], id="clean_accuracy_above_one"),
+        pytest.param({"min_clean_accuracy": -0.1}, ["'min_clean_accuracy'"], id="negative_clean_accuracy"),
+        # a negative depth would build a network with nothing to adapt
+        pytest.param(
+            {"network": {"n_layers": -1}, "methods": [{"kind": "tent"}]},
+            ["'network.n_layers'"],
+            id="negative_n_layers",
+        ),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))

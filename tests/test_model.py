@@ -88,6 +88,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="d_in == d"):
             build_network(seed=1, d_in=5, d=8, C=3, n_layers=0, groups=1)
 
+    def test_negative_depth_rejected(self):
+        # d_in == d, so only the depth is wrong
+        with pytest.raises(ValueError, match="n_layers"):
+            build_network(seed=1, d_in=8, d=8, C=3, n_layers=-1, groups=2)
+
     def test_groups_must_divide_channels(self):
         with pytest.raises(ValueError, match="does not divide"):
             build_network(seed=1, d_in=4, d=6, C=3, n_layers=1, groups=4)

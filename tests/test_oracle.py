@@ -1,11 +1,15 @@
 """Monte-Carlo oracle: sampling statistics, estimator quality, bound checks."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from seva.core_math import (
     ClassifierHead,
     DiagCovariance,
+    DimensionMismatch,
     augmented_entropy,
     entropy,
     logits,
@@ -14,12 +18,14 @@ from seva.core_math import (
 )
 from seva.oracle import (
     BOUND_ATOL,
+    MC_CHUNK_ROWS,
     McEstimate,
     bound_gap_report,
     bound_sweep,
     mc_entropy,
     mc_robust_probs_estimate,
     vicinal_batch,
+    vicinal_logits,
 )
 from seva.rng import substream
 from conftest import random_head, random_sigma
@@ -84,6 +90,76 @@ class TestMcEntropy:
         a = mc_entropy(h3, z, sigma_half, 5000, substream(9, "r"))
         b = mc_entropy(h3, z, sigma_half, 5000, substream(9, "r"))
         assert a == b
+
+
+def _explicit_mc_entropy(head, z, sigma, n, rng):
+    """mean, stderr of the entropy over the explicit (n, d) feature sample."""
+    L = vicinal_batch(z, sigma, rng, n) @ head.weights.T + head.biases
+    logp = L - L.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    ent = -(np.exp(logp) * logp).sum(axis=1)
+    return ent.mean(), ent.std(ddof=1) / np.sqrt(n)
+
+
+class TestFoldedChunkedSampling:
+    """The folded, chunked path against the explicit feature sample."""
+
+    @pytest.fixture
+    def instance(self):
+        rng = np.random.default_rng(31)
+        head = random_head(rng, C=7, d=5)
+        return head, rng.standard_normal(5), random_sigma(rng, 5)
+
+    @pytest.mark.parametrize("n", [
+        2, MC_CHUNK_ROWS - 1, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1, 2 * MC_CHUNK_ROWS + 3,
+    ])
+    def test_mc_entropy_matches_explicit_sample(self, instance, n):
+        head, z, sigma = instance
+        gen = substream(32, "chunks", n)
+        ref_gen = copy.deepcopy(gen)
+        est = mc_entropy(head, z, sigma, n, gen)
+        mean, stderr = _explicit_mc_entropy(head, z, sigma, n, ref_gen)
+        assert est.n_samples == n
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+        # exactly n*d standard normals were consumed, as by the explicit sample
+        np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_vicinal_logits_match_explicit_features(self, instance):
+        head, z, sigma = instance
+        gen = substream(33, "logits")
+        ref_gen = copy.deepcopy(gen)
+        got = vicinal_logits(head, z, sigma, gen, 1000)
+        expected = vicinal_batch(z, sigma, ref_gen, 1000) @ head.weights.T + head.biases
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_vicinal_logits_dimension_check(self, instance):
+        head, z, _ = instance
+        with pytest.raises(DimensionMismatch):
+            vicinal_logits(head, z, DiagCovariance.zeros(4), substream(0), 3)
+
+    def test_working_set_does_not_grow_with_n(self):
+        # C=10, d=16 as in the certification sweep. Only the length-n
+        # per-draw entropy vector and the temporary of its std reduction
+        # (16 bytes a draw together) may grow with n. One full-length
+        # (n, C) logit array would add 80 bytes a draw, and the explicit
+        # (n, d) sample path grew by about 380.
+        rng = np.random.default_rng(34)
+        head = random_head(rng, C=10, d=16)
+        z, sigma = rng.standard_normal(16), random_sigma(rng, 16)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mc_entropy(head, z, sigma, n, substream(35, "peak"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(400_000)
+        assert small <= 8 * 2**20
+        assert large - small < 24 * 300_000
 
 
 class TestMcRobustProbs:

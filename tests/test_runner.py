@@ -52,7 +52,9 @@ def test_each_grid_builds_the_world_once(build_calls, tmp_path, execute):
 
 
 def test_infeasible_world_raises_before_the_first_cell(build_calls, tmp_path):
-    cfg = resolve_config(dict(GRID, min_clean_accuracy=1.01, max_world_retries=1))
+    # overlapping prototypes: the fitted head reaches 0.69 clean accuracy, below 0.95
+    world = dict(GRID["world"], proto_scale=0.3, min_separation=0.0)
+    cfg = resolve_config(dict(GRID, world=world, max_world_retries=1))
     with pytest.raises(InfeasibleWorldError, match="could not reach clean accuracy"):
         execute_run(cfg, tmp_path)
     assert len(build_calls) == 1
