@@ -9,6 +9,12 @@
 # draws for (C, d) in {(10, 16), (100, 64)}: mean wall time of 2 calls
 # and the tracemalloc peak of one call. It samples in fixed-size chunks,
 # so its peak does not grow with the full (n, C) logit array.
+#
+# A third table times the engine phases that every adaptation step runs:
+# forward_with_caches and backward_adaptable (the group-norm forward and
+# backward of a 2-layer network) at the committed shape (B=32, d_in=d=16,
+# 4 groups) and the wide shape (B=64, d_in=d=64, 8 groups), as median
+# microseconds per call.
 import os
 
 # BLAS is pinned to one thread before numpy is first imported, so the
@@ -22,12 +28,14 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from seva.core_math import AugmentedEntropyLoss, ClassifierHead, DiagCovariance  # noqa: E402
+from seva.model import backward_adaptable, build_network, forward_with_caches  # noqa: E402
 from seva.oracle import mc_entropy  # noqa: E402
 
 SHAPES = ((10, 16), (100, 64), (300, 64), (1000, 512))  # (C, d)
 N_FEATURES = 64
 MC_SHAPES = ((10, 16), (100, 64))  # (C, d)
 MC_DRAWS = 100_000
+ENGINE_SHAPES = (("committed", 32, 16, 4), ("wide", 64, 64, 8))  # (name, B, d_in = d, groups)
 
 
 def _median_ms(fn, reps):
@@ -77,6 +85,21 @@ def mc_sweep(shapes=MC_SHAPES, n=MC_DRAWS, reps=2):
     return rows
 
 
+def engine_sweep(shapes=ENGINE_SHAPES, n_layers=2, reps=2000):
+    rows = []
+    for name, B, d, groups in shapes:
+        net = build_network(seed=0, d_in=d, d=d, C=10, n_layers=n_layers, groups=groups)
+        rng = np.random.default_rng(d)
+        X, d_feature = rng.standard_normal((B, d)), rng.standard_normal((B, d))
+        _, caches = forward_with_caches(net, X)
+        rows.append({
+            "shape": name, "B": B, "d": d, "groups": groups,
+            "forward_us": 1e3 * _median_ms(lambda: forward_with_caches(net, X), reps),
+            "backward_us": 1e3 * _median_ms(lambda: backward_adaptable(net, caches, d_feature), reps),
+        })
+    return rows
+
+
 if __name__ == "__main__":
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(f"nproc {os.cpu_count()}, BLAS {blas.get('name')} {blas.get('version')}, "
@@ -87,3 +110,7 @@ if __name__ == "__main__":
     print(f"\n{'C':>5} {'d':>4} {'n':>7} {'mc_entropy ms':>14} {'peak MB':>8}")
     for r in mc_sweep():
         print(f"{r['C']:5d} {r['d']:4d} {r['n']:7d} {r['call_ms']:14.1f} {r['peak_mb']:8.2f}")
+    print(f"\n{'shape':>9} {'B':>3} {'d':>3} {'groups':>6} {'forward us':>11} {'backward us':>12}")
+    for r in engine_sweep():
+        print(f"{r['shape']:>9} {r['B']:3d} {r['d']:3d} {r['groups']:6d} "
+              f"{r['forward_us']:11.1f} {r['backward_us']:12.1f}")

@@ -279,7 +279,17 @@ def resolve_config(raw: dict) -> RunConfig:
         "network.groups",
         f"must be >= 1 and divide network.feature_dim ({nw['feature_dim']})",
     )
+    hf = nw["head_fit"]
+    _require(hf["n_train_per_class"] >= 1, "network.head_fit.n_train_per_class", "must be >= 1")
+    _require(hf["n_eval_per_class"] >= 1, "network.head_fit.n_eval_per_class", "must be >= 1")
+    _require(hf["refine_steps"] >= 0, "network.head_fit.refine_steps", "must be >= 0")
+    _require(hf["lr"] > 0, "network.head_fit.lr", "must be > 0")
+    _require(0 <= hf["momentum"] < 1, "network.head_fit.momentum", "must be in [0, 1)")
+    _require(hf["weight_decay"] >= 0, "network.head_fit.weight_decay", "must be >= 0")
     _require(tree["stream"]["batch_size"] >= 1, "stream.batch_size", "must be >= 1")
+    _require(
+        tree["stream"]["corruption"]["segment_len"] >= 0, "stream.corruption.segment_len", "must be >= 0"
+    )
     _require(tree["stream"]["n_batches"] >= 1, "stream.n_batches", "must be >= 1")
     _require(tree["max_world_retries"] >= 1, "max_world_retries", "must be >= 1")
     mc = tree["mc"]

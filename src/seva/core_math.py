@@ -167,10 +167,15 @@ def softmax(values) -> np.ndarray:
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (n, C) logit matrix."""
-    shifted = L - L.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of an (n, C) logit matrix, as a new float64 array.
+
+    Works in place on its own temporary: the shifted logits are formed as
+    float64 (so integer logits are accepted), exponentiated and normalized.
+    """
+    e = np.subtract(L, L.max(axis=-1, keepdims=True), dtype=np.float64)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax_rows(L: np.ndarray) -> np.ndarray:

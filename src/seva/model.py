@@ -10,6 +10,13 @@ covariance calibration.
 
 Layer norm is the one-group special case. The activation is tanh so that
 finite-difference gradient checks are free of kink noise.
+
+Forward and backward work on the (n, groups, k) view of each layer's
+channels, k = c // groups, with ``np.add.reduce(..., axis=2) / k`` as the
+group mean. That is the reduction and the division np.mean and np.var run
+internally (population variance: the mean of squared deviations from that
+mean), so features, caches and gradients match the np.mean / np.var /
+np.repeat form bit for bit, without its per-call Python dispatch.
 """
 
 from __future__ import annotations
@@ -128,29 +135,19 @@ def build_network(
     return ToyNetwork(layers, head, d_in, d, activation, seed)
 
 
-def _group_stats(h: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    n, c = h.shape
-    grouped = h.reshape(n, groups, c // groups)
-    mean = grouped.mean(axis=2)
-    var = grouped.var(axis=2)  # population variance, per sample and group
-    return mean, var
-
-
-def _expand(per_group: np.ndarray, groups: int, channels: int) -> np.ndarray:
-    return np.repeat(per_group, channels // groups, axis=1)
-
-
 def _forward(net: ToyNetwork, X: np.ndarray, keep_caches: bool):
     act, _ = _ACTIVATIONS[net.activation]
     caches: list[LayerCache] = []
     v = X
     for layer in net.layers:
         h = v @ layer.weight.T
-        mean, var = _group_stats(h, layer.groups)
+        n, c = h.shape
+        k = c // layer.groups
+        grouped = h.reshape(n, layer.groups, k)
+        dev = grouped - np.add.reduce(grouped, axis=2, keepdims=True) / k
+        var = np.add.reduce(dev * dev, axis=2) / k  # population variance
         inv = 1.0 / np.sqrt(var + NORM_EPS)
-        normalized = (h - _expand(mean, layer.groups, layer.channels)) * _expand(
-            inv, layer.groups, layer.channels
-        )
+        normalized = (dev * inv[:, :, None]).reshape(n, c)
         v = act(layer.gamma * normalized + layer.beta)
         if keep_caches:
             caches.append(LayerCache(normalized=normalized, inv_std=inv, output=v))
@@ -190,20 +187,17 @@ def backward_adaptable(net: ToyNetwork, caches: list[LayerCache], d_feature: np.
     grads: list[np.ndarray] = []
     delta = np.asarray(d_feature, dtype=np.float64)
     for layer, cache in zip(reversed(net.layers), reversed(caches)):
-        g = layer.groups
-        c = layer.channels
         d_pre = delta * d_act(cache.output)
-        d_gamma = (d_pre * cache.normalized).sum(axis=0)
-        d_beta = d_pre.sum(axis=0)
-        grads.append(d_beta)
-        grads.append(d_gamma)
-        d_norm = d_pre * layer.gamma
+        grads.append(np.add.reduce(d_pre, axis=0))  # d_beta
+        grads.append(np.add.reduce(d_pre * cache.normalized, axis=0))  # d_gamma
         # group-norm backward: dh = inv * (dn - mean(dn) - nh * mean(dn * nh))
-        n = delta.shape[0]
-        dn = d_norm.reshape(n, g, c // g)
-        nh = cache.normalized.reshape(n, g, c // g)
-        inv = cache.inv_std[:, :, None]
-        dh = inv * (dn - dn.mean(axis=2, keepdims=True) - nh * (dn * nh).mean(axis=2, keepdims=True))
+        n, c = d_pre.shape
+        k = c // layer.groups
+        dn = (d_pre * layer.gamma).reshape(n, layer.groups, k)
+        nh = cache.normalized.reshape(n, layer.groups, k)
+        mean_dn = np.add.reduce(dn, axis=2, keepdims=True) / k
+        mean_dn_nh = np.add.reduce(dn * nh, axis=2, keepdims=True) / k
+        dh = cache.inv_std[:, :, None] * (dn - mean_dn - nh * mean_dn_nh)
         delta = dh.reshape(n, c) @ layer.weight
     grads.reverse()
     return np.concatenate(grads) if grads else np.zeros(0)

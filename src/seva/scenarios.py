@@ -118,6 +118,8 @@ class CorruptionSchedule:
     def __post_init__(self):
         if len(self.specs) < 1:
             raise ValueError("corruption schedule needs at least one spec")
+        if self.segment_len < 0:
+            raise ValueError(f"segment_len must be >= 0, got {self.segment_len}")
 
 
 @dataclass(frozen=True)
@@ -320,16 +322,19 @@ def fit_head(
     A = means.copy()
     b = -0.5 * (means * means).sum(axis=1)
 
-    onehot = np.eye(C)[y_train]
     params = np.concatenate([A.ravel(), b])
     state = OptimizerState.zeros_like(params)
     n = F.shape[0]
+    rows = np.arange(n)
     for _ in range(refine_steps):
         A = params[: C * d].reshape(C, d)
         b = params[C * d :]
-        P = softmax_rows(F @ A.T + b)
-        gA = (P - onehot).T @ F / n + weight_decay * A
-        gb = (P - onehot).mean(axis=0)
+        L = F @ A.T
+        L += b
+        G = softmax_rows(L)
+        G[rows, y_train] -= 1.0  # softmax minus one-hot labels, the residual
+        gA = G.T @ F / n + weight_decay * A
+        gb = G.mean(axis=0)
         params, state = sgd_momentum_step(
             params, np.concatenate([gA.ravel(), gb]), state, lr, momentum
         )

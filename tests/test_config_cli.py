@@ -240,6 +240,43 @@ class TestCli:
             ["'network.n_layers'"],
             id="negative_n_layers",
         ),
+        # a negative mixture segment length used to loop forever building segments
+        pytest.param(
+            {"stream": {"corruption": {"segment_len": -5, "specs": [
+                {"kind": "additive_noise", "severity": 3}, {"kind": "feature_scale", "severity": 3},
+            ]}}},
+            ["'stream.corruption.segment_len'"],
+            id="negative_corruption_segment_len",
+        ),
+        # head-fit values that crash, yield nan accuracy, skip refinement or ascend
+        pytest.param(
+            {"network": {"head_fit": {"n_train_per_class": 0}}},
+            ["'network.head_fit.n_train_per_class'"],
+            id="zero_head_fit_train",
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"n_eval_per_class": 0}}},
+            ["'network.head_fit.n_eval_per_class'"],
+            id="zero_head_fit_eval",
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"refine_steps": -3}}},
+            ["'network.head_fit.refine_steps'"],
+            id="negative_head_fit_refine_steps",
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"lr": -0.5}}}, ["'network.head_fit.lr'"], id="negative_head_fit_lr"
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"momentum": 1.0}}},
+            ["'network.head_fit.momentum'"],
+            id="unit_head_fit_momentum",
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"weight_decay": -0.01}}},
+            ["'network.head_fit.weight_decay'"],
+            id="negative_head_fit_weight_decay",
+        ),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))

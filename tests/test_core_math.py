@@ -26,6 +26,7 @@ from seva.core_math import (
     logits,
     robust_probs,
     softmax,
+    softmax_rows,
 )
 from conftest import random_head, random_sigma
 
@@ -84,6 +85,16 @@ class TestSoftmaxEntropy:
         for _ in range(200):
             l = 10 * rng.standard_normal(int(rng.integers(1, 12)))
             assert abs(softmax(l).sum() - 1.0) <= 1e-12
+
+    def test_rows_match_out_of_place_form_and_accept_integers(self):
+        L = 30 * np.random.default_rng(3).standard_normal((50, 7))
+        shifted = L - L.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        np.testing.assert_array_equal(softmax_rows(L), e / e.sum(axis=-1, keepdims=True))
+        ints = np.array([[3, 1, -2], [0, 0, 0]])
+        got = softmax_rows(ints)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, softmax_rows(ints.astype(np.float64)))
 
     def test_entropy_one_hot(self):
         assert entropy([1.0, 0.0, 0.0]) == 0.0

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import seva.adapt
+from seva.adapt import AdaptEngine, MethodConfig
 from seva.core_math import AugmentedEntropyLoss, DiagCovariance, DimensionMismatch, EntropyLoss, softmax_rows
 from seva.model import (
     NORM_EPS,
+    LayerCache,
     adaptable_layout,
     adaptable_params,
+    backward_adaptable,
     batch_loss,
     build_network,
     calibrate_covariance,
@@ -302,3 +307,142 @@ class TestCalibration:
     def test_too_few_inputs(self, net):
         with pytest.raises(ValueError, match="at least 2"):
             calibrate_covariance(net, np.zeros((1, 6)), 1.5)
+
+
+def legacy_forward_with_caches(net, X):
+    """The group-norm forward as written with np.mean / np.var / np.repeat,
+    kept as the reference the grouped-view kernel must match bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    caches = []
+    v = X
+    for layer in net.layers:
+        h = v @ layer.weight.T
+        n, c = h.shape
+        grouped = h.reshape(n, layer.groups, c // layer.groups)
+        mean = grouped.mean(axis=2)
+        var = grouped.var(axis=2)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
+        normalized = (h - np.repeat(mean, c // layer.groups, axis=1)) * np.repeat(
+            inv, c // layer.groups, axis=1
+        )
+        v = np.tanh(layer.gamma * normalized + layer.beta)
+        caches.append(LayerCache(normalized=normalized, inv_std=inv, output=v))
+    return v, caches
+
+
+def legacy_backward_adaptable(net, caches, d_feature):
+    """The group-norm backward as written with ``.mean`` and ``.sum``."""
+    grads = []
+    delta = np.asarray(d_feature, dtype=np.float64)
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        g = layer.groups
+        c = layer.channels
+        d_pre = delta * (1.0 - cache.output * cache.output)
+        d_gamma = (d_pre * cache.normalized).sum(axis=0)
+        d_beta = d_pre.sum(axis=0)
+        grads.append(d_beta)
+        grads.append(d_gamma)
+        d_norm = d_pre * layer.gamma
+        n = delta.shape[0]
+        dn = d_norm.reshape(n, g, c // g)
+        nh = cache.normalized.reshape(n, g, c // g)
+        inv = cache.inv_std[:, :, None]
+        dh = inv * (dn - dn.mean(axis=2, keepdims=True) - nh * (dn * nh).mean(axis=2, keepdims=True))
+        delta = dh.reshape(n, c) @ layer.weight
+    grads.reverse()
+    return np.concatenate(grads)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+@st.composite
+def group_norm_case(draw):
+    """A perturbed network and an input batch. Group sizes include 3, 5 and
+    6, where ``x / k`` and ``x * (1 / k)`` round differently; one group per
+    channel (k = 1) gives zero variance, one group for all channels is
+    layer norm."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8]))
+    groups = draw(st.sampled_from([1, 2, 3, 4]))
+    d_in = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    degenerate = draw(st.sampled_from(["none", "constant", "zero", "nan"]))
+    n_layers = draw(st.integers(1, 2))
+    net = build_network(seed=seed % 1000, d_in=d_in, d=groups * k, C=3, n_layers=n_layers, groups=groups)
+    rng = np.random.default_rng(seed)
+    theta = adaptable_params(net)
+    set_adaptable_params(net, theta + 0.3 * rng.standard_normal(theta.size))
+    X = scale * rng.standard_normal((n, d_in))
+    row = int(rng.integers(n))
+    if degenerate == "constant":
+        X[row] = scale
+    elif degenerate == "zero":
+        X[row] = 0.0  # every pre-activation of the row is 0: zero variance
+    elif degenerate == "nan":
+        X[row, 0] = np.nan
+    return net, X, row, degenerate, rng.standard_normal((n, groups * k))
+
+
+class TestGroupNormKernel:
+    """The grouped-view group norm equals the np.mean / np.var / np.repeat
+    form bit for bit: features, every cache field and the backward."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_norm_case())
+    def test_property_bit_identical_to_legacy(self, case):
+        net, X, row, degenerate, d_feature = case
+        with np.errstate(invalid="ignore"):
+            feats, caches = forward_with_caches(net, X)
+            ref_feats, ref_caches = legacy_forward_with_caches(net, X)
+            grads = backward_adaptable(net, caches, d_feature)
+            ref_grads = legacy_backward_adaptable(net, ref_caches, d_feature)
+        assert same_bits(feats, ref_feats)
+        assert same_bits(feats, forward_features_batch(net, X))
+        for got, ref in zip(caches, ref_caches):
+            for name in ("normalized", "inv_std", "output"):
+                assert same_bits(getattr(got, name), getattr(ref, name)), name
+        assert same_bits(grads, ref_grads)
+        if degenerate == "nan":
+            # the NaN stays in its own row of every forward array
+            others = np.arange(X.shape[0]) != row
+            assert np.isnan(feats[row]).all()
+            assert np.isfinite(feats[others]).all()
+            for cache in caches:
+                assert np.isfinite(cache.normalized[others]).all()
+        else:
+            assert np.isfinite(feats).all() and np.isfinite(grads).all()
+
+    @pytest.mark.parametrize("kind", ["tent", "seva"])
+    @pytest.mark.parametrize("batch", ["constant_rows", "zero_row", "single"])
+    def test_adapt_step_on_degenerate_batches_matches_legacy(self, monkeypatch, kind, batch):
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((12, 6))
+        calib = rng.standard_normal((32, 6))
+        if batch == "constant_rows":
+            X[::2] = 0.7
+        elif batch == "zero_row":
+            X[3] = 0.0
+        else:
+            X = X[:1]
+
+        def run():
+            net = build_network(seed=2024, d_in=6, d=6, C=4, n_layers=2, groups=2)
+            engine = AdaptEngine(net, MethodConfig(kind=kind, threshold_rho=10.0, lr=0.05))
+            if kind == "seva":
+                engine.calibrate(calib)
+            reports = [engine.adapt_step(X) for _ in range(3)]
+            return reports, adaptable_params(net)
+
+        reports, params = run()
+        monkeypatch.setattr(seva.adapt, "forward_with_caches", legacy_forward_with_caches)
+        monkeypatch.setattr(seva.adapt, "backward_adaptable", legacy_backward_adaptable)
+        ref_reports, ref_params = run()
+        assert np.isfinite(params).all()
+        assert all(r.updated for r in reports)
+        assert same_bits(params, ref_params)
+        for got, ref in zip(reports, ref_reports):
+            for name in ("losses", "selected", "predicted", "confidence"):
+                assert same_bits(getattr(got, name), getattr(ref, name)), name

@@ -124,6 +124,8 @@ class TestCorrupt:
             CorruptionSpec("fog", 3)
         with pytest.raises(ValueError):
             CorruptionSpec("additive_noise", 6)
+        with pytest.raises(ValueError, match="segment_len"):
+            CorruptionSchedule((CorruptionSpec("additive_noise", 3),) * 2, segment_len=-5)
 
 
 class TestGenerateStream:
