@@ -4,32 +4,19 @@
 # refuses every unreliable sample here and preserves accuracy.
 import numpy as np
 
-from seva.adapt import AdaptEngine, run_stream
 from seva.committed import committed_config, committed_methods
-from seva.rng import derive_seed
-from seva.runner import build_world_and_model
-from seva.scenarios import generate_stream, selection_f1
+from seva.runner import run_cells
 
 cfg = committed_config()
-seed = 0
 print("committed scenario, seed 0: 10 classes, severity-5 noise, single-class")
 print("segments of 64 rotating over classes, 3200 samples, batch 32\n")
 print(f"{'method':>16} {'accuracy':>9} {'selected':>9} {'F1':>6}   accuracy by fifth of stream")
 
-for name, method in committed_methods().items():
-    world, net, clean_acc = build_world_and_model(cfg)
-    stream = generate_stream(world, cfg.stream_spec(seed=derive_seed(cfg.master_seed, "stream", seed)))
-    engine = AdaptEngine(net, method, seed=derive_seed(cfg.master_seed, "engine", seed, name))
-    if method.needs_sigma:
-        engine.calibrate(np.concatenate([b.inputs for b in stream])[: cfg.calibration_samples])
-    trace = run_stream(engine, stream)
-    score = selection_f1(trace)
-    per_batch = np.array([
-        (s.predicted == labels).mean() for s, labels in zip(trace.steps, trace.labels)
-    ])
+for result in run_cells(cfg, committed_methods().items(), [0]):
+    trace = result.trace
+    per_batch = np.array([(s.predicted == labels).mean() for s, labels in zip(trace.steps, trace.labels)])
     blocks = " ".join(f"{v:.2f}" for v in per_batch.reshape(5, 20).mean(axis=1))
-    n_sel = int(trace.concat("selected").sum())
-    print(f"{name:>16} {trace.accuracy:9.4f} {n_sel:9d} {score.f1:6.3f}   {blocks}")
+    print(f"{result.name:>16} {result.accuracy:9.4f} {result.n_selected:9d} {result.selection.f1:6.3f}   {blocks}")
 
 print("\n(clean accuracy of the frozen model before the stream: "
-      f"{clean_acc:.3f}; every update any method makes here is unsupervised)")
+      f"{result.clean_accuracy:.3f}; every update any method makes here is unsupervised)")

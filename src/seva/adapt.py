@@ -49,7 +49,6 @@ from .model import (
 from .rng import substream
 
 __all__ = [
-    "METHOD_KINDS",
     "MethodConfig",
     "OptimizerState",
     "StepReport",
@@ -138,8 +137,6 @@ RECIPES = {
     "no_adapt": Recipe(_entropy, _select_none, None),
 }
 
-METHOD_KINDS = tuple(RECIPES)
-
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -161,8 +158,12 @@ class MethodConfig:
         if self.kind not in RECIPES:
             raise ValueError(f"unknown method kind '{self.kind}'")
         recipe = self.recipe
-        if recipe.update is not None and not self.lr > 0:
-            raise ValueError(f"lr must be > 0 for method '{self.kind}', got {self.lr}")
+        if recipe.update is not None and not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0 for method '{self.kind}', got {self.lr}")
+        if recipe.update is not None and not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1) for method '{self.kind}', got {self.momentum}")
+        if not 0 <= self.sigma_scale < math.inf:
+            raise ValueError(f"sigma_scale must be finite and >= 0, got {self.sigma_scale}")
         if recipe.has_rounds and self.rounds < 1:
             raise ValueError(f"rounds must be >= 1 for method '{self.kind}', got {self.rounds}")
         if not recipe.has_rounds and self.rounds != 1:

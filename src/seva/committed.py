@@ -22,6 +22,9 @@ and feature-scale corruption at severity 5, tent beats the frozen model
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 from .adapt import MethodConfig
 from .config import RunConfig, resolve_config
 
@@ -69,13 +72,8 @@ def committed_config() -> RunConfig:
 
 
 def committed_methods() -> dict[str, MethodConfig]:
-    """The five-cell roster used by the behavioral and ablation checks."""
-    return {
-        "no_adapt": MethodConfig(kind="no_adapt", lr=1.0),
-        "tent": MethodConfig(kind="tent", lr=COMMITTED_LR),
-        "entropy_select": MethodConfig(
-            kind="entropy_select", threshold_rho=COMMITTED_RHO, lr=COMMITTED_LR
-        ),
-        "l_ae_only": MethodConfig(kind="seva", threshold_rho=float("inf"), lr=COMMITTED_LR),
-        "seva": MethodConfig(kind="seva", threshold_rho=COMMITTED_RHO, lr=COMMITTED_LR),
-    }
+    """The five-cell roster used by the behavioral and ablation checks: the
+    committed config's four methods plus seva without its selection rule."""
+    methods = dict(committed_config().methods())
+    seva = methods.pop("seva")
+    return {**methods, "l_ae_only": replace(seva, threshold_rho=math.inf), "seva": seva}

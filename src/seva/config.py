@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adapt import MethodConfig
+from .model import ACTIVATIONS
 from .scenarios import (
     CorruptionSchedule,
     CorruptionSpec,
@@ -106,9 +107,9 @@ _MC_DEFAULTS = {
 }
 
 # A leaf accepts the exact types listed for its default's type: an int
-# where a float is expected, never the reverse, and a bool nowhere (lists
-# are checked by resolve_config).
-_LEAF_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str,)}
+# where a float is expected, never the reverse, and a bool nowhere (list
+# entries are checked by resolve_config).
+_LEAF_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str,), list: (list,)}
 
 # Leaves that may be null: an unnamed method, and an unbounded threshold.
 _NULLABLE = ("name", "threshold_rho")
@@ -129,7 +130,11 @@ _TOP_DEFAULTS = {
 
 
 def _merge(raw, defaults, path):
-    """Fill defaults recursively, rejecting unknown keys."""
+    """Fill defaults recursively, rejecting unknown keys.
+
+    A default that is a list of one object stands for a non-empty list whose
+    every entry is merged against that object.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object at '{path or '<root>'}', got {type(raw).__name__}")
     for key in raw:
@@ -139,22 +144,14 @@ def _merge(raw, defaults, path):
     out = {}
     for key, default in defaults.items():
         sub_path = f"{path}.{key}" if path else key
+        value = raw.get(key, default)
         if isinstance(default, dict):
-            out[key] = _merge(raw.get(key, {}), default, sub_path)
-        elif key == "methods":
-            entries = raw.get(key, default)
-            if not isinstance(entries, list) or not entries:
+            out[key] = _merge(value, default, sub_path)
+        elif isinstance(default, list) and isinstance(default[0], dict):
+            if not isinstance(value, list) or not value:
                 raise ConfigError(f"'{sub_path}' must be a non-empty list")
-            out[key] = [_merge(e, _METHOD_DEFAULTS, f"{sub_path}[{i}]") for i, e in enumerate(entries)]
-        elif key == "specs":
-            entries = raw.get(key, default)
-            if not isinstance(entries, list) or not entries:
-                raise ConfigError(f"'{sub_path}' must be a non-empty list")
-            out[key] = [
-                _merge(e, _CORRUPTION_SPEC_DEFAULTS, f"{sub_path}[{i}]") for i, e in enumerate(entries)
-            ]
+            out[key] = [_merge(e, default[0], f"{sub_path}[{i}]") for i, e in enumerate(value)]
         else:
-            value = raw.get(key, default)
             if type(value) is not type(default) and not _leaf_type_ok(key, value, default):
                 raise ConfigError(
                     f"invalid type for '{sub_path}': expected {_LEAF_TYPES[type(default)][-1].__name__}, "
@@ -168,7 +165,7 @@ def _leaf_type_ok(key: str, value, default) -> bool:
     """Whether a leaf may hold a value of another type than its default."""
     if value is None:
         return key in _NULLABLE
-    return type(value) in _LEAF_TYPES.get(type(default), (type(value),))  # lists: see resolve_config
+    return type(value) in _LEAF_TYPES[type(default)]
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -177,17 +174,12 @@ def _require(cond: bool, key: str, message: str) -> None:
 
 
 def _method_entry(i: int, m: dict) -> tuple[str, MethodConfig]:
-    name = m["name"] or f"{i:02d}_{m['kind']}"
-    rho = math.inf if m["threshold_rho"] is None else m["threshold_rho"]
+    fields = dict(m)
+    name = fields.pop("name") or f"{i:02d}_{m['kind']}"
+    if fields["threshold_rho"] is None:
+        fields["threshold_rho"] = math.inf
     try:
-        method = MethodConfig(
-            kind=m["kind"],
-            threshold_rho=rho,
-            sigma_scale=m["sigma_scale"],
-            lr=m["lr"],
-            momentum=m["momentum"],
-            rounds=m["rounds"],
-        )
+        method = MethodConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"invalid value in 'methods[{i}]': {exc}") from exc
     return name, method
@@ -240,18 +232,12 @@ class RunConfig:
 
     def stream_spec(self, seed: int) -> StreamSpec:
         s = self.tree["stream"]
-        label = LabelSchedule(
-            kind=s["label_schedule"]["kind"],
-            dominance=s["label_schedule"]["dominance"],
-            segment_len=s["label_schedule"]["segment_len"],
-            shift_concentration=s["label_schedule"]["shift_concentration"],
-        )
         corr = CorruptionSchedule(
-            specs=tuple(CorruptionSpec(e["kind"], e["severity"]) for e in s["corruption"]["specs"]),
+            specs=tuple(CorruptionSpec(**spec) for spec in s["corruption"]["specs"]),
             segment_len=s["corruption"]["segment_len"],
         )
         return StreamSpec(
-            label_schedule=label,
+            label_schedule=LabelSchedule(**s["label_schedule"]),
             corruption_schedule=corr,
             batch_size=s["batch_size"],
             n_batches=s["n_batches"],
@@ -262,18 +248,27 @@ class RunConfig:
 def resolve_config(raw: dict) -> RunConfig:
     """Validate a raw tree, fill every default, and run basic sanity checks."""
     tree = _merge(raw, _TOP_DEFAULTS, "")
-    _require(
-        isinstance(tree["seeds"], list) and tree["seeds"] and all(type(s) is int for s in tree["seeds"]),
-        "seeds",
-        "must be a non-empty list of integers",
-    )
-    _require(len(set(tree["seeds"])) == len(tree["seeds"]), "seeds", f"duplicate seed in {tree['seeds']}")
+    seeds = tree["seeds"]  # a list: _merge checked the type
+    _require(seeds and all(type(s) is int for s in seeds), "seeds", "must be a non-empty list of integers")
+    _require(len(set(seeds)) == len(seeds), "seeds", f"duplicate seed in {seeds}")
     _require(tree["calibration_samples"] >= 2, "calibration_samples", "must be >= 2")
-    _require(tree["world"]["n_classes"] >= 2, "world.n_classes", "must be >= 2")
-    _require(tree["world"]["d_in"] >= 1, "world.d_in", "must be >= 1")
+    w = tree["world"]
+    _require(w["n_classes"] >= 2, "world.n_classes", "must be >= 2")
+    for key in ("d_in", "max_retries", "cluster_size"):
+        _require(w[key] >= 1, f"world.{key}", "must be >= 1")
+    for key in ("within_scale", "min_separation", "cluster_spread"):
+        _require(0 <= w[key] < math.inf, f"world.{key}", "must be finite and >= 0")
+    _require(0 < w["proto_scale"] < math.inf, "world.proto_scale", "must be finite and > 0")
     _require(0 <= tree["min_clean_accuracy"] <= 1, "min_clean_accuracy", "must be in [0, 1]")
     nw = tree["network"]
+    _require(nw["activation"] in ACTIVATIONS, "network.activation", f"must be one of {sorted(ACTIVATIONS)}")
+    _require(nw["feature_dim"] >= 1, "network.feature_dim", "must be >= 1")
     _require(nw["n_layers"] >= 0, "network.n_layers", "must be >= 0")
+    _require(
+        nw["n_layers"] > 0 or nw["feature_dim"] == w["d_in"],
+        "network.feature_dim",
+        f"must equal world.d_in ({w['d_in']}) when network.n_layers is 0",
+    )
     _require(
         nw["n_layers"] == 0 or (nw["groups"] >= 1 and nw["feature_dim"] % nw["groups"] == 0),
         "network.groups",
@@ -283,19 +278,24 @@ def resolve_config(raw: dict) -> RunConfig:
     _require(hf["n_train_per_class"] >= 1, "network.head_fit.n_train_per_class", "must be >= 1")
     _require(hf["n_eval_per_class"] >= 1, "network.head_fit.n_eval_per_class", "must be >= 1")
     _require(hf["refine_steps"] >= 0, "network.head_fit.refine_steps", "must be >= 0")
-    _require(hf["lr"] > 0, "network.head_fit.lr", "must be > 0")
+    _require(0 < hf["lr"] < math.inf, "network.head_fit.lr", "must be finite and > 0")
     _require(0 <= hf["momentum"] < 1, "network.head_fit.momentum", "must be in [0, 1)")
-    _require(hf["weight_decay"] >= 0, "network.head_fit.weight_decay", "must be >= 0")
+    _require(0 <= hf["weight_decay"] < math.inf, "network.head_fit.weight_decay", "must be finite and >= 0")
     _require(tree["stream"]["batch_size"] >= 1, "stream.batch_size", "must be >= 1")
     _require(
         tree["stream"]["corruption"]["segment_len"] >= 0, "stream.corruption.segment_len", "must be >= 0"
     )
     _require(tree["stream"]["n_batches"] >= 1, "stream.n_batches", "must be >= 1")
+    _require(
+        -math.inf < tree["stream"]["label_schedule"]["shift_concentration"] < math.inf,
+        "stream.label_schedule.shift_concentration",
+        "must be finite",
+    )
     _require(tree["max_world_retries"] >= 1, "max_world_retries", "must be >= 1")
     mc = tree["mc"]
     for key, low in (("n_instances", 1), ("n_samples", 2), ("fast_n_samples", 2), ("c_max", 2), ("d_max", 2)):
         _require(mc[key] >= low, f"mc.{key}", f"must be >= {low}")
-    _require(mc["sigma_scale"] >= 0, "mc.sigma_scale", "must be >= 0")
+    _require(0 <= mc["sigma_scale"] < math.inf, "mc.sigma_scale", "must be finite and >= 0")
     cfg = RunConfig(tree)
     try:
         names = [name for name, _ in cfg.methods()]  # surfaces MethodConfig errors with config context

@@ -21,7 +21,7 @@ np.repeat form bit for bit, without its per-call Python dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .rng import substream
 
 __all__ = [
     "NORM_EPS",
+    "ACTIVATIONS",
     "NormAffineLayer",
     "ToyNetwork",
     "LayerCache",
@@ -49,7 +50,7 @@ __all__ = [
 NORM_EPS = 1e-5
 
 # activation -> (f, derivative expressed through the activation output)
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "tanh": (np.tanh, lambda out: 1.0 - out * out),
 }
 
@@ -113,7 +114,7 @@ def build_network(
     Hidden widths all equal the feature dimension d; ``groups`` must divide
     d. ``n_layers = 0`` gives the identity extractor and requires d_in = d.
     """
-    if activation not in _ACTIVATIONS:
+    if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation '{activation}'")
     if d_in < 1 or d < 1 or C < 1:
         raise ValueError(f"invalid dims d_in={d_in}, d={d}, C={C}")
@@ -136,7 +137,7 @@ def build_network(
 
 
 def _forward(net: ToyNetwork, X: np.ndarray, keep_caches: bool):
-    act, _ = _ACTIVATIONS[net.activation]
+    act, _ = ACTIVATIONS[net.activation]
     caches: list[LayerCache] = []
     v = X
     for layer in net.layers:
@@ -183,7 +184,7 @@ def backward_adaptable(net: ToyNetwork, caches: list[LayerCache], d_feature: np.
     ``d_feature`` is (n, d): the gradient of the scalar loss with respect to
     each sample's feature. Rows may be zero for samples excluded from the loss.
     """
-    _, d_act = _ACTIVATIONS[net.activation]
+    _, d_act = ACTIVATIONS[net.activation]
     grads: list[np.ndarray] = []
     delta = np.asarray(d_feature, dtype=np.float64)
     for layer, cache in zip(reversed(net.layers), reversed(caches)):

@@ -64,7 +64,6 @@ __all__ = [
 BOUND_ATOL = 1e-9
 
 FULL_MC_SAMPLES = 100_000
-FAST_MC_SAMPLES = 1_000
 
 # Draws per chunk of mc_entropy: its working set is a few (MC_CHUNK_ROWS, C)
 # and (MC_CHUNK_ROWS, d) arrays whatever n is. 2048 to 16384 rows all ran

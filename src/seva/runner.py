@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptEngine, MethodConfig, RunTrace, run_stream
-from .config import RunConfig, canonical_json, config_hash
+from .config import RunConfig, config_hash
 from .core_math import AugmentedEntropyLoss
 from .model import ToyNetwork, build_network
 from .oracle import BoundGapReport, bound_sweep
-from .rng import derive_seed, substream
+from .rng import derive_seed
 from .scenarios import (
     InfeasibleWorldError,
     SelectionScore,
@@ -141,41 +141,24 @@ def build_world_and_model(cfg: RunConfig) -> tuple[World, ToyNetwork, float]:
     Retries with a fresh world substream until the fitted head reaches the
     clean-accuracy floor; raises InfeasibleWorldError when retries run out.
     """
-    w = cfg.world
+    world_kwargs = dict(cfg.world)
+    C = world_kwargs.pop("n_classes")
     nw = cfg.network
-    hf = nw["head_fit"]
+    # the network depends only on the master seed, and fit_head only reads it
+    net = build_network(
+        seed=derive_seed(cfg.master_seed, "network"),
+        d_in=world_kwargs["d_in"],
+        d=nw["feature_dim"],
+        C=C,
+        n_layers=nw["n_layers"],
+        groups=nw["groups"],
+        activation=nw["activation"],
+    )
     clean_acc = 0.0
     for attempt in range(cfg.max_world_retries):
-        world = make_world(
-            seed=derive_seed(cfg.master_seed, "world", attempt),
-            C=w["n_classes"],
-            d_in=w["d_in"],
-            within_scale=w["within_scale"],
-            proto_scale=w["proto_scale"],
-            min_separation=w["min_separation"],
-            max_retries=w["max_retries"],
-            cluster_size=w["cluster_size"],
-            cluster_spread=w["cluster_spread"],
-        )
-        net = build_network(
-            seed=derive_seed(cfg.master_seed, "network"),
-            d_in=w["d_in"],
-            d=nw["feature_dim"],
-            C=w["n_classes"],
-            n_layers=nw["n_layers"],
-            groups=nw["groups"],
-            activation=nw["activation"],
-        )
+        world = make_world(seed=derive_seed(cfg.master_seed, "world", attempt), C=C, **world_kwargs)
         head, clean_acc = fit_head(
-            net,
-            world,
-            seed=derive_seed(cfg.master_seed, "head-fit", attempt),
-            n_train_per_class=hf["n_train_per_class"],
-            n_eval_per_class=hf["n_eval_per_class"],
-            refine_steps=hf["refine_steps"],
-            lr=hf["lr"],
-            momentum=hf["momentum"],
-            weight_decay=hf["weight_decay"],
+            net, world, seed=derive_seed(cfg.master_seed, "head-fit", attempt), **nw["head_fit"]
         )
         if clean_acc >= cfg.min_clean_accuracy:
             net.head = head
@@ -259,11 +242,11 @@ def trace_lines(result: CellResult, cfg: RunConfig) -> list[str]:
                 {
                     "record": "step",
                     "step": i,
-                    "losses": [float(v) for v in step.losses],
-                    "selected": [bool(v) for v in step.selected],
-                    "predicted": [int(v) for v in step.predicted],
-                    "confidence": [float(v) for v in step.confidence],
-                    "labels": [int(v) for v in labels],
+                    "losses": step.losses.tolist(),
+                    "selected": step.selected.tolist(),
+                    "predicted": step.predicted.tolist(),
+                    "confidence": step.confidence.tolist(),
+                    "labels": labels.tolist(),
                     "n_selected": step.n_selected,
                     "updated": step.updated,
                 }

@@ -15,13 +15,12 @@ non-degenerate accuracy wins (criteria 8 and 10) and reports the F1
 comparison truthfully rather than committing an empty-vs-empty tie.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
-from seva.adapt import RECIPES, AdaptEngine, MethodConfig, run_stream, threshold_default
+from seva.adapt import RECIPES, MethodConfig, threshold_default
 from seva.committed import committed_config, committed_methods
 from seva.config import resolve_config
 from seva.core_math import (
@@ -45,9 +44,8 @@ from seva.model import (
     set_adaptable_params,
 )
 from seva.oracle import bound_sweep, mc_robust_probs_estimate, random_instance
-from seva.rng import derive_seed, substream
-from seva.runner import build_world_and_model, run_cells, execute_run
-from seva.scenarios import generate_stream, selection_f1
+from seva.rng import substream
+from seva.runner import run_cells, execute_run
 from conftest import random_head, random_sigma
 
 

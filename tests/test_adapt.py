@@ -122,6 +122,19 @@ class TestMethodConfig:
             MethodConfig(kind="tent", lr=0.0)
         MethodConfig(kind="no_adapt", lr=0.0)  # allowed
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": float("inf")}, {"momentum": float("nan")}, {"momentum": -3.0}, {"momentum": 1.0},
+    ])
+    def test_update_hyperparameters_in_range(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            MethodConfig(kind="tent", **kwargs)
+        MethodConfig(kind="no_adapt", **kwargs)  # never updates, so never reads them
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_sigma_scale_finite_and_non_negative(self, scale):
+        with pytest.raises(ValueError, match="sigma_scale"):
+            MethodConfig(kind="seva", sigma_scale=scale)
+
     def test_rounds_validated(self):
         with pytest.raises(ValueError, match="rounds"):
             MethodConfig(kind="explicit_va", rounds=0)

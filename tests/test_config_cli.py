@@ -1,9 +1,9 @@
 """Config validation, artifact contracts, CLI subcommands and exit codes."""
 
+import copy
 import csv
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -84,6 +84,66 @@ class TestConfigResolution:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+
+
+def leaf_paths(tree, prefix=()):
+    """Every leaf path of a resolved tree; a list of objects contributes the
+    leaves of its first entry."""
+    for key, value in tree.items():
+        path = prefix + (key,)
+        if isinstance(value, dict):
+            yield from leaf_paths(value, path)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from leaf_paths(value[0], path + (0,))
+        else:
+            yield path
+
+
+def non_finite_leaves(tree, prefix=()):
+    """Paths of the float leaves that are NaN or infinite, lists included."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        path = prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from non_finite_leaves(value, path)
+        elif isinstance(value, float) and not math.isfinite(value):
+            yield path
+
+
+DEFAULT_TREE = resolve_config({}).tree
+FUZZ_VALUES = [None, math.nan, math.inf, -math.inf, -1, -1.0, 0, 0.0, True, "x", [], {}]
+
+
+class TestConfigFuzz:
+    """One leaf at a time set to each hostile value: resolve_config either
+    raises ConfigError or returns a tree whose float leaves are finite, except
+    a method's threshold_rho (null, resolved as unbounded)."""
+
+    def test_paths_cover_list_entries(self):
+        paths = set(leaf_paths(DEFAULT_TREE))
+        assert ("methods", 0, "momentum") in paths
+        assert ("stream", "corruption", "specs", 0, "severity") in paths
+        assert ("seeds",) in paths
+
+    @pytest.mark.parametrize(
+        "path", list(leaf_paths(DEFAULT_TREE)), ids=lambda p: ".".join(map(str, p))
+    )
+    def test_rejects_or_resolves_finite(self, path):
+        for value in FUZZ_VALUES:
+            raw = copy.deepcopy(DEFAULT_TREE)
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                cfg = resolve_config(raw)
+            except ConfigError:
+                continue
+            bad = [
+                p for p in non_finite_leaves(cfg.tree) if not (p[0] == "methods" and p[-1] == "threshold_rho")
+            ]
+            assert bad == [], f"{value!r} at {path} resolved with non-finite leaves {bad}"
 
 
 class TestRunArtifacts:
@@ -210,6 +270,7 @@ class TestCli:
         pytest.param({"world": {"n_classes": 2.5}}, ["'world.n_classes'"], id="fractional_n_classes"),
         pytest.param({"network": {"feature_dim": 8, "groups": 3}}, ["'network.groups'"], id="groups_not_dividing"),
         pytest.param({"seeds": [True]}, ["'seeds'"], id="boolean_seed"),
+        pytest.param({"seeds": None}, ["'seeds'"], id="null_seeds"),
         pytest.param({"methods": [{"kind": "seva", "rounds": 5}]}, ["'methods[0]'", "rounds"], id="rounds_without_recipe_rounds"),
         # a repeated seed or resolved method name would overwrite another cell's trace file
         pytest.param({"seeds": [1, 1]}, ["'seeds'", "duplicate"], id="duplicate_seed"),
@@ -277,6 +338,61 @@ class TestCli:
             ["'network.head_fit.weight_decay'"],
             id="negative_head_fit_weight_decay",
         ),
+        # method hyperparameters outside their range: a NaN momentum turned every
+        # loss after the first update into NaN, a bad sigma_scale failed at calibration
+        pytest.param(
+            {"methods": [{"kind": "tent", "momentum": float("nan")}]},
+            ["'methods[0]'", "momentum"],
+            id="nan_method_momentum",
+        ),
+        pytest.param(
+            {"methods": [{"kind": "tent", "momentum": -3.0}]},
+            ["'methods[0]'", "momentum"],
+            id="negative_method_momentum",
+        ),
+        pytest.param(
+            {"methods": [{"kind": "seva", "sigma_scale": -1.0}]},
+            ["'methods[0]'", "sigma_scale"],
+            id="negative_method_sigma_scale",
+        ),
+        pytest.param(
+            {"methods": [{"kind": "seva", "sigma_scale": float("nan")}]},
+            ["'methods[0]'", "sigma_scale"],
+            id="nan_method_sigma_scale",
+        ),
+        pytest.param(
+            {"methods": [{"kind": "tent", "lr": float("inf")}]}, ["'methods[0]'", "lr"], id="infinite_method_lr"
+        ),
+        # world, network, stream and mc values that failed late or ran silently
+        pytest.param({"network": {"activation": "relu"}}, ["'network.activation'"], id="unknown_activation"),
+        pytest.param({"network": {"feature_dim": 0}}, ["'network.feature_dim'"], id="zero_feature_dim"),
+        pytest.param(
+            {"network": {"n_layers": 0, "feature_dim": 4}},
+            ["'network.feature_dim'", "world.d_in"],
+            id="identity_extractor_width_mismatch",
+        ),
+        pytest.param({"world": {"max_retries": 0}}, ["'world.max_retries'"], id="zero_world_max_retries"),
+        pytest.param({"world": {"cluster_size": 0}}, ["'world.cluster_size'"], id="zero_cluster_size"),
+        pytest.param({"world": {"within_scale": float("nan")}}, ["'world.within_scale'"], id="nan_within_scale"),
+        pytest.param({"world": {"proto_scale": 0.0}}, ["'world.proto_scale'"], id="zero_proto_scale"),
+        pytest.param(
+            {"world": {"min_separation": float("inf")}}, ["'world.min_separation'"], id="infinite_min_separation"
+        ),
+        pytest.param({"world": {"cluster_spread": -1.0}}, ["'world.cluster_spread'"], id="negative_cluster_spread"),
+        pytest.param(
+            {"stream": {"label_schedule": {"shift_concentration": float("-inf")}}},
+            ["'stream.label_schedule.shift_concentration'"],
+            id="infinite_shift_concentration",
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"lr": float("inf")}}}, ["'network.head_fit.lr'"], id="infinite_head_fit_lr"
+        ),
+        pytest.param(
+            {"network": {"head_fit": {"weight_decay": float("inf")}}},
+            ["'network.head_fit.weight_decay'"],
+            id="infinite_head_fit_weight_decay",
+        ),
+        pytest.param({"mc": {"sigma_scale": float("inf")}}, ["'mc.sigma_scale'"], id="infinite_mc_sigma_scale"),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))

@@ -1,6 +1,9 @@
-"""Public surface: every name a module exports exists."""
+"""Public surface: every name a module exports exists, and no module imports
+a name it never uses."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +18,36 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"seva.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == [], f"seva.{name}.__all__ names {missing}, which the module does not define"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression in ``source``
+    reads; an identifier written as a string, as in a forward-reference
+    annotation or ``__all__``, counts as a read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            read.add(node.value)
+    return sorted(imported - read)
+
+
+def test_unused_import_check_sees_unused_names():
+    source = "import os\nimport json\nfrom x import a, b as c\nfrom y import d\njson.dumps(c)\nv: 'd'\n"
+    assert unused_imports(source) == ["a", "os"]
+
+
+# MODULES holds the submodules only: the package __init__ imports names to
+# re-export them.
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    source = inspect.getsource(importlib.import_module(f"seva.{name}"))
+    assert unused_imports(source) == [], f"seva.{name} imports names it never uses"

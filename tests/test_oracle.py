@@ -19,7 +19,6 @@ from seva.core_math import (
 from seva.oracle import (
     BOUND_ATOL,
     MC_CHUNK_ROWS,
-    McEstimate,
     bound_gap_report,
     bound_sweep,
     mc_entropy,

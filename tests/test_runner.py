@@ -5,7 +5,7 @@ import pytest
 
 import seva.runner as runner
 from seva.config import resolve_config
-from seva.model import adaptable_params
+from seva.model import adaptable_params, build_network
 from seva.runner import (
     build_world_and_model,
     execute_ablate,
@@ -60,6 +60,20 @@ def test_infeasible_world_raises_before_the_first_cell(build_calls, tmp_path):
     assert len(build_calls) == 1
     assert not list(tmp_path.glob("*.jsonl"))
 
+
+def test_world_retries_share_one_network_build(monkeypatch):
+    # the network depends only on the master seed, so retrying the world reuses it
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return build_network(**kwargs)
+
+    monkeypatch.setattr(runner, "build_network", counting)
+    world = dict(GRID["world"], proto_scale=0.3, min_separation=0.0)
+    with pytest.raises(InfeasibleWorldError, match="in 3 world attempts"):
+        build_world_and_model(resolve_config(dict(GRID, world=world, max_world_retries=3)))
+    assert len(calls) == 1
 
 def test_cells_on_a_shared_build_match_cells_on_their_own(tmp_path):
     # Every cell after the first runs on a build that earlier training cells
