@@ -32,7 +32,6 @@ from .model import (
     ToyNetwork,
     build_network,
     calibrate_covariance,
-    grad_loss_wrt_adaptable,
 )
 from .adapt import (
     AdaptEngine,

@@ -100,7 +100,7 @@ def _vicinal_rounds(engine: "AdaptEngine", X, caches, pullback, selected, n_sele
         f_sel, c_sel = forward_with_caches(engine.net, X_sel)
         engine.counters.n_forward += n_selected
         noisy = f_sel + engine._va_rng.standard_normal(f_sel.shape) * std[None, :]
-        _, noisy_pullback = engine.loss.value_and_pullback(noisy)
+        noisy_pullback = engine.loss.value_and_pullback(noisy)[1]
         grads = backward_adaptable(engine.net, c_sel, noisy_pullback() / n_selected)
         engine.counters.n_backward += n_selected
         engine._optimizer_step(grads)
@@ -322,9 +322,8 @@ class AdaptEngine:
 
         feats, caches = forward_with_caches(self.net, X)
         self.counters.n_forward += X.shape[0]
-        head = self.net.head
-        probs = softmax_rows(feats @ head.weights.T + head.biases)
-        losses, pullback = self.loss.value_and_pullback(feats)
+        losses, pullback, logits = self.loss.value_and_pullback(feats)
+        probs = softmax_rows(logits)
         selected = recipe.select(losses, self.threshold)
         n_selected = int(selected.sum())
         steps_before = self.counters.n_optimizer_steps

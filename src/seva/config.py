@@ -1,26 +1,37 @@
 """Run configuration: a strict JSON key-value tree.
 
 Unknown keys are rejected (naming the offending key), every omitted key is
-filled from the defaults below, and the fully resolved tree is written next
-to the run artifacts so any run can be reproduced from its own output.
-All randomness derives from ``master_seed``.
+filled from its default, and the fully resolved tree is written next to the
+run artifacts so any run can be reproduced from its own output. All
+randomness derives from ``master_seed``.
+
+Each block's keys are the keyword parameters of the constructor it feeds
+(``make_world``, ``build_network``, ``fit_head``, ``LabelSchedule``,
+``CorruptionSchedule``, ``MethodConfig``, ``bound_sweep``), and a default
+that constructor's signature sets is read from it. This module writes only
+the keys no constructor defaults, plus two overrides: the label schedule is
+imbalanced, and a method's lr is 0.05.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adapt import MethodConfig
-from .model import ACTIVATIONS
+from .model import ACTIVATIONS, build_network
+from .oracle import bound_sweep
 from .scenarios import (
     CorruptionSchedule,
     CorruptionSpec,
     LabelSchedule,
     StreamSpec,
+    fit_head,
+    make_world,
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "resolve_config", "config_hash"]
@@ -30,49 +41,30 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
-_WORLD_DEFAULTS = {
-    "n_classes": 6,
-    "d_in": 16,
-    "within_scale": 0.3,
-    "proto_scale": 2.0,
-    "min_separation": 2.0,
-    "max_retries": 200,
-    "cluster_size": 1,
-    "cluster_spread": 2.5,
-}
+def _keyword_defaults(fn) -> dict:
+    """The parameters of ``fn`` that have a default, in signature order."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
 
-_HEAD_FIT_DEFAULTS = {
-    "n_train_per_class": 100,
-    "n_eval_per_class": 50,
-    "refine_steps": 300,
-    "lr": 0.5,
-    "momentum": 0.9,
-    "weight_decay": 0.05,
-}
+
+_WORLD_DEFAULTS = {"n_classes": 6, "d_in": 16, **_keyword_defaults(make_world)}
 
 _NETWORK_DEFAULTS = {
     "feature_dim": 8,
     "n_layers": 2,
     "groups": 2,
-    "activation": "tanh",
-    "head_fit": _HEAD_FIT_DEFAULTS,
+    **_keyword_defaults(build_network),
+    "head_fit": _keyword_defaults(fit_head),
 }
 
 _LABEL_DEFAULTS = {
-    "kind": "imbalanced",
-    "dominance": 1.0,
-    "segment_len": 64,
-    "shift_concentration": 4.0,
-}
-
-_CORRUPTION_SPEC_DEFAULTS = {
-    "kind": "additive_noise",
-    "severity": 5,
+    **_keyword_defaults(LabelSchedule),
+    "kind": "imbalanced",  # override: LabelSchedule defaults to uniform
 }
 
 _CORRUPTION_DEFAULTS = {
-    "specs": [_CORRUPTION_SPEC_DEFAULTS],
-    "segment_len": 0,
+    "specs": [{"kind": "additive_noise", "severity": 5}],
+    **_keyword_defaults(CorruptionSchedule),
 }
 
 _STREAM_DEFAULTS = {
@@ -85,11 +77,8 @@ _STREAM_DEFAULTS = {
 _METHOD_DEFAULTS = {
     "kind": "seva",
     "name": None,
-    "threshold_rho": 1.0,
-    "sigma_scale": 1.5,
-    "lr": 0.05,
-    "momentum": 0.9,
-    "rounds": 1,
+    **_keyword_defaults(MethodConfig),
+    "lr": 0.05,  # override: MethodConfig defaults to 0.01
 }
 
 _MC_DEFAULTS = {
@@ -98,12 +87,8 @@ _MC_DEFAULTS = {
     # check (isolated extreme-confidence instances under other seeds can
     # genuinely exceed the closed form).
     "seed": 10,
-    "n_instances": 50,
-    "n_samples": 100_000,
+    **_keyword_defaults(bound_sweep),
     "fast_n_samples": 1_000,
-    "c_max": 10,
-    "d_max": 16,
-    "sigma_scale": 1.5,
 }
 
 # A leaf accepts the exact types listed for its default's type: an int
@@ -157,6 +142,11 @@ def _merge(raw, defaults, path):
                     f"invalid type for '{sub_path}': expected {_LEAF_TYPES[type(default)][-1].__name__}, "
                     f"got {type(value).__name__} {value!r}"
                 )
+            if type(value) is int and type(default) is float:
+                try:  # the integer stays in the tree as written
+                    float(value)
+                except OverflowError:
+                    raise ConfigError(f"invalid value for '{sub_path}': integer too large for a float") from None
             out[key] = value
     return out
 

@@ -15,8 +15,9 @@ quadratic form ``a_i Sigma a_i^T`` in expectation, which yields:
 The two training losses are objects built once from a head (and, for
 the augmented entropy, a covariance): ``EntropyLoss`` and
 ``AugmentedEntropyLoss``. Their ``value_and_pullback`` scores an (n, d)
-batch of features and returns the per-sample losses with a pullback that
-forms the (n, d) feature gradients from the same intermediates. They are
+batch of features and returns the per-sample losses, a pullback that
+forms the (n, d) feature gradients from the same intermediates, and the
+(n, C) logits, so a caller needs no second head pass. They are
 the only batch code for these quantities; the single-feature functions
 below wrap them.
 
@@ -220,13 +221,15 @@ class EntropyLoss:
         self.head = head
 
     def value_and_pullback(self, Z):
-        """Losses of the (n, d) feature rows, and a pullback returning their
-        (n, d) feature gradients ``weights^T [-p * (log p + H)]``."""
+        """Losses of the (n, d) feature rows, a pullback returning their
+        (n, d) feature gradients ``weights^T [-p * (log p + H)]``, and the
+        (n, C) logits the losses were formed from."""
         Z = _feature_rows(self.head, Z)
-        logp = log_softmax_rows(Z @ self.head.weights.T + self.head.biases)
+        L = Z @ self.head.weights.T + self.head.biases
+        logp = log_softmax_rows(L)
         p = np.exp(logp)
         h = -(p * logp).sum(axis=1)
-        return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights
+        return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights, L
 
 
 # Rows holding an inner sum S below _S_UNDERFLOW are recomputed in the pair
@@ -282,8 +285,9 @@ class AugmentedEntropyLoss:
         self._half_pair_q = self._half_q[:, None] + self._half_q[None, :] - K
 
     def value_and_pullback(self, Z):
-        """Losses of the (n, d) feature rows, and a pullback returning their
-        (n, d) feature gradients.
+        """Losses of the (n, d) feature rows, a pullback returning their
+        (n, d) feature gradients, and the (n, C) logits ``Z @ weights^T +
+        biases`` the losses were formed from.
 
         With g_j the log-inner-sum, r_ij the softmax over i of t_ij, and
         pbar the robust prediction, the gradient is
@@ -311,7 +315,7 @@ class AugmentedEntropyLoss:
             coeff = pbar * (log_inner - total) + Rpbar_minus_pbar
             return coeff @ self.head.weights
 
-        return total[:, 0], pullback
+        return total[:, 0], pullback, L
 
     def _pair_form(self, L, pbar):
         """Log inner sums and R pbar of the given logit rows, in the literal

@@ -41,9 +41,6 @@ __all__ = [
     "backward_adaptable",
     "adaptable_params",
     "set_adaptable_params",
-    "adaptable_layout",
-    "batch_loss",
-    "grad_loss_wrt_adaptable",
     "calibrate_covariance",
 ]
 
@@ -77,18 +74,6 @@ class ToyNetwork:
     feature_dim: int
     activation: str = "tanh"
     seed: int = 0
-
-    def spec(self) -> dict:
-        """Construction parameters, sufficient to rebuild the frozen parts."""
-        return {
-            "seed": self.seed,
-            "d_in": self.d_in,
-            "feature_dim": self.feature_dim,
-            "n_classes": self.head.n_classes,
-            "n_layers": len(self.layers),
-            "groups": self.layers[0].groups if self.layers else 1,
-            "activation": self.activation,
-        }
 
 
 @dataclass
@@ -224,32 +209,6 @@ def set_adaptable_params(net: ToyNetwork, vec) -> None:
         layer.gamma = vec[pos : pos + c].copy()
         layer.beta = vec[pos + c : pos + 2 * c].copy()
         pos += 2 * c
-
-
-def adaptable_layout(net: ToyNetwork) -> tuple[tuple[int, str, int], ...]:
-    """(layer index, name, size) triples describing the flat vector layout."""
-    layout = []
-    for idx, layer in enumerate(net.layers):
-        layout.append((idx, "gamma", layer.channels))
-        layout.append((idx, "beta", layer.channels))
-    return tuple(layout)
-
-
-def batch_loss(net: ToyNetwork, X, loss) -> float:
-    """Mean per-sample ``loss`` (a core_math loss object) over the batch,
-    at the current parameters."""
-    losses, _ = loss.value_and_pullback(forward_features_batch(net, X))
-    return float(np.mean(losses))
-
-
-def grad_loss_wrt_adaptable(net: ToyNetwork, X, loss) -> np.ndarray:
-    """Gradient of the batch-mean ``loss`` w.r.t. all (gamma, beta) parameters."""
-    X = check_input(net, X)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    feats, caches = forward_with_caches(net, X)
-    _, pullback = loss.value_and_pullback(feats)
-    return backward_adaptable(net, caches, pullback() / X.shape[0])
 
 
 def calibrate_covariance(net: ToyNetwork, calibration_inputs, scale: float) -> DiagCovariance:

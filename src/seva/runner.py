@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptEngine, MethodConfig, RunTrace, run_stream
-from .config import RunConfig, config_hash
+from .config import RunConfig, config_hash, resolve_config
 from .core_math import AugmentedEntropyLoss
 from .model import ToyNetwork, build_network
 from .oracle import BoundGapReport, bound_sweep
@@ -39,9 +39,6 @@ from .scenarios import (
 
 __all__ = [
     "CellResult",
-    "SUMMARY_COLUMNS",
-    "TIMING_COLUMNS",
-    "ABLATION_COLUMNS",
     "build_world_and_model",
     "run_cell",
     "run_cells",
@@ -56,42 +53,6 @@ __all__ = [
 ]
 
 TRACE_SCHEMA_VERSION = 1
-
-SUMMARY_COLUMNS = [
-    "method",
-    "kind",
-    "seed",
-    "n_samples",
-    "batch_size",
-    "accuracy",
-    "clean_accuracy",
-    "mean_loss",
-    "n_selected",
-    "n_updates",
-    "selection_precision",
-    "selection_recall",
-    "selection_f1",
-    "n_forward",
-    "n_backward",
-    "n_optimizer_steps",
-    "n_calibration_forward",
-    "config_hash",
-    "calib_wall_time",
-    "stream_wall_time",
-]
-
-ABLATION_COLUMNS = ["cell", "param", "value", "seed", "accuracy", "selection_f1", "n_selected"]
-
-TIMING_COLUMNS = [
-    "method",
-    "rounds",
-    "accuracy",
-    "n_forward",
-    "n_backward",
-    "n_optimizer_steps",
-    "total_wall_time",
-    "mean_step_ms",
-]
 
 # Component-ablation grid and hyperparameter sweep axes.
 SIGMA_SCALE_SWEEP = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -268,6 +229,7 @@ def summary_row(result: CellResult, cfg: RunConfig) -> dict:
         "seed": result.seed,
         "n_samples": spec_tree["batch_size"] * spec_tree["n_batches"],
         "batch_size": spec_tree["batch_size"],
+        "accuracy": result.accuracy,  # placed before clean_accuracy; the summary repeats it
         "clean_accuracy": result.clean_accuracy,
         **result.summary,
         **result.counters,
@@ -277,9 +239,10 @@ def summary_row(result: CellResult, cfg: RunConfig) -> dict:
     }
 
 
-def write_csv(rows: list[dict], columns: list[str], path: Path) -> None:
+def write_csv(rows: list[dict], path: Path) -> None:
+    """One CSV of non-empty ``rows``; the header is the first row's keys."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -304,7 +267,7 @@ def execute_run(cfg: RunConfig, out_dir: str | Path) -> dict:
         trace_paths.append(path)
         rows.append(summary_row(result, cfg))
     summary_path = out / "summary.csv"
-    write_csv(rows, SUMMARY_COLUMNS, summary_path)
+    write_csv(rows, summary_path)
     return {"summary": summary_path, "traces": trace_paths, "rows": rows}
 
 
@@ -332,13 +295,12 @@ def execute_verify_bounds(cfg: RunConfig, fast: bool = False) -> tuple[list[Boun
 
 
 def _seva_template(cfg: RunConfig) -> MethodConfig:
-    """The first configured method that trains on the augmented loss."""
+    """The first configured method that trains on the augmented loss, else
+    the default method block."""
     for _, method in cfg.methods():
         if method.recipe.loss is AugmentedEntropyLoss:
             return method
-    # fall back to defaults with the first method's optimizer settings
-    first = cfg.methods()[0][1]
-    return MethodConfig(kind="seva", lr=first.lr, momentum=first.momentum)
+    return resolve_config({}).methods()[0][1]
 
 
 def ablation_cells(cfg: RunConfig) -> list[tuple[str, MethodConfig]]:
@@ -381,7 +343,7 @@ def execute_ablate(cfg: RunConfig, out_dir: str | Path, sweep: str = "components
         }
         for result in run_cells(cfg, cells, cfg.seeds)
     ]
-    write_csv(rows, ABLATION_COLUMNS, out / csv_name)
+    write_csv(rows, out / csv_name)
     return rows
 
 
@@ -418,5 +380,5 @@ def execute_time(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
                 "mean_step_ms": 1000.0 * float(np.mean([s.step_wall_time for s in steps])),
             }
         )
-    write_csv(rows, TIMING_COLUMNS, out / "timing.csv")
+    write_csv(rows, out / "timing.csv")
     return rows

@@ -36,17 +36,12 @@ from seva.core_math import (
     robust_probs,
     softmax,
 )
-from seva.model import (
-    adaptable_params,
-    batch_loss,
-    build_network,
-    grad_loss_wrt_adaptable,
-    set_adaptable_params,
-)
+from seva.model import adaptable_params, build_network, set_adaptable_params
 from seva.oracle import bound_sweep, mc_robust_probs_estimate, random_instance
 from seva.rng import substream
 from seva.runner import run_cells, execute_run
 from conftest import random_head, random_sigma
+from model_helpers import batch_loss, grad_loss_wrt_adaptable
 
 
 def verdict(num, ok, detail):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seva.adapt import (
     RECIPES,
@@ -23,9 +24,11 @@ from seva.core_math import (
     augmented_entropy,
     entropy,
     softmax,
+    softmax_rows,
 )
-from seva.model import adaptable_params, batch_loss, build_network, forward_features_batch
+from seva.model import adaptable_params, build_network, forward_features_batch
 from seva.scenarios import Batch
+from model_helpers import batch_loss, grad_loss_wrt_adaptable
 
 
 def selected(losses, threshold):
@@ -245,6 +248,45 @@ class TestAdaptStep:
             assert engine.counters.n_forward == 0
 
 
+# an input row: standard normal, one constant value throughout, zeros, or NaN
+ROW_KINDS = ("normal", "constant", "zero", "nan")
+
+
+class TestAdaptStepProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["tent", "seva"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
+    )
+    def test_reports_match_pre_step_head_and_loss(self, kind, seed, C, row_kinds):
+        """Predictions and confidences are the argmax and max of the head's
+        softmax at the pre-step parameters, and the losses are the loss
+        object's values, bit for bit, whatever the rows hold."""
+        rng = np.random.default_rng(seed)
+        net = build_network(seed=seed, d_in=6, d=8, C=C, n_layers=2, groups=2)
+        rows = {
+            "normal": lambda: rng.standard_normal(6),
+            "constant": lambda: np.full(6, rng.standard_normal()),
+            "zero": lambda: np.zeros(6),
+            "nan": lambda: np.full(6, np.nan),
+        }
+        X = np.stack([rows[k]() for k in row_kinds])
+        engine = AdaptEngine(
+            net,
+            MethodConfig(kind=kind, threshold_rho=10.0, lr=0.5),
+            sigma=DiagCovariance(rng.uniform(0.0, 1.5, 8)),
+        )
+        feats = forward_features_batch(net, X)
+        probs = softmax_rows(feats @ net.head.weights.T + net.head.biases)
+        losses = engine.loss.value_and_pullback(feats)[0]
+        rep = engine.adapt_step(X)
+        assert rep.predicted.tobytes() == probs.argmax(axis=1).tobytes()
+        assert rep.confidence.tobytes() == probs.max(axis=1).tobytes()
+        assert rep.losses.tobytes() == losses.tobytes()
+
+
 class TestExplicitVa:
     def test_rounds_times_counters(self):
         net, stream = small_setup(seed=5)
@@ -283,7 +325,7 @@ class TestExplicitVa:
         got = adaptable_params(net).copy()
 
         net2, _ = small_setup(seed=7)
-        from seva.model import grad_loss_wrt_adaptable, set_adaptable_params
+        from seva.model import set_adaptable_params
 
         state = OptimizerState.zeros_like(adaptable_params(net2))
         for _ in range(2):

@@ -10,15 +10,8 @@ import pytest
 
 from seva.cli import main
 from seva.config import ConfigError, config_hash, load_config, resolve_config
-from seva.runner import (
-    ABLATION_COLUMNS,
-    RHO_SWEEP,
-    SIGMA_SCALE_SWEEP,
-    SUMMARY_COLUMNS,
-    TIMING_COLUMNS,
-    ablation_cells,
-    execute_run,
-)
+from seva.committed import committed_config
+from seva.runner import RHO_SWEEP, SIGMA_SCALE_SWEEP, ablation_cells, execute_run
 
 SMALL = {
     "master_seed": 5,
@@ -29,6 +22,48 @@ SMALL = {
     "methods": [{"kind": "no_adapt"}, {"kind": "seva", "lr": 0.02}],
     "mc": {"n_instances": 4, "n_samples": 2000, "fast_n_samples": 500},
 }
+
+
+# The CSV schemas, pinned here because the runner writes each header from
+# the keys of its first row.
+SUMMARY_HEADER = [
+    "method",
+    "kind",
+    "seed",
+    "n_samples",
+    "batch_size",
+    "accuracy",
+    "clean_accuracy",
+    "mean_loss",
+    "n_selected",
+    "n_updates",
+    "selection_precision",
+    "selection_recall",
+    "selection_f1",
+    "n_forward",
+    "n_backward",
+    "n_optimizer_steps",
+    "n_calibration_forward",
+    "config_hash",
+    "calib_wall_time",
+    "stream_wall_time",
+]
+ABLATION_HEADER = ["cell", "param", "value", "seed", "accuracy", "selection_f1", "n_selected"]
+TIMING_HEADER = [
+    "method",
+    "rounds",
+    "accuracy",
+    "n_forward",
+    "n_backward",
+    "n_optimizer_steps",
+    "total_wall_time",
+    "mean_step_ms",
+]
+
+
+def header_of(path):
+    """The first line of a CSV file, split into its column names."""
+    return path.read_text(encoding="utf-8").splitlines()[0].split(",")
 
 
 def write_config(tmp_path, tree, name="cfg.json"):
@@ -147,29 +182,9 @@ class TestConfigFuzz:
 
 
 class TestRunArtifacts:
-    def test_summary_schema_is_versioned(self):
-        assert SUMMARY_COLUMNS == [
-            "method",
-            "kind",
-            "seed",
-            "n_samples",
-            "batch_size",
-            "accuracy",
-            "clean_accuracy",
-            "mean_loss",
-            "n_selected",
-            "n_updates",
-            "selection_precision",
-            "selection_recall",
-            "selection_f1",
-            "n_forward",
-            "n_backward",
-            "n_optimizer_steps",
-            "n_calibration_forward",
-            "config_hash",
-            "calib_wall_time",
-            "stream_wall_time",
-        ]
+    def test_summary_schema_is_versioned(self, tmp_path):
+        execute_run(resolve_config(SMALL), tmp_path)
+        assert header_of(tmp_path / "summary.csv") == SUMMARY_HEADER
 
     def test_run_writes_expected_artifacts(self, tmp_path):
         cfg = resolve_config(SMALL)
@@ -180,7 +195,7 @@ class TestRunArtifacts:
         with (tmp_path / "summary.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["00_no_adapt", "01_seva"]
-        assert list(rows[0].keys()) == SUMMARY_COLUMNS
+        assert list(rows[0].keys()) == SUMMARY_HEADER
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         cfg = resolve_config(SMALL)
@@ -393,6 +408,11 @@ class TestCli:
             id="infinite_head_fit_weight_decay",
         ),
         pytest.param({"mc": {"sigma_scale": float("inf")}}, ["'mc.sigma_scale'"], id="infinite_mc_sigma_scale"),
+        # an integer beyond float range in a float leaf used to fail the run with OverflowError
+        pytest.param({"world": {"within_scale": 10**400}}, ["'world.within_scale'"], id="oversized_int_within_scale"),
+        pytest.param(
+            {"methods": [{"kind": "seva", "lr": 10**400}]}, ["'methods[0].lr'"], id="oversized_int_method_lr"
+        ),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))
@@ -447,7 +467,7 @@ class TestCli:
         with (out / "ablation.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["cell"] for r in rows] == ["entropy", "selection", "l_ae", "selection_l_ae"]
-        assert list(rows[0].keys()) == ABLATION_COLUMNS
+        assert header_of(out / "ablation.csv") == ABLATION_HEADER
 
     def test_ablate_grid_structure(self):
         cfg = resolve_config(SMALL)
@@ -473,9 +493,17 @@ class TestCli:
         with (out / f"sweep_{sweep}.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == count
+        assert header_of(out / f"sweep_{sweep}.csv") == ABLATION_HEADER
         assert all(r["param"] == column_value for r in rows)
         values = [float(r["value"]) for r in rows]
         assert values == (SIGMA_SCALE_SWEEP if sweep == "sigma_scale" else RHO_SWEEP)
+
+    @pytest.mark.parametrize("command", ["ablate", "time"])
+    def test_ablate_and_time_without_augmented_loss_method(self, tmp_path, command):
+        # a method that never updates may carry lr 0; the seva template these
+        # commands vary comes from the default method block, not from it
+        cfg_path = write_config(tmp_path, dict(SMALL, methods=[{"kind": "no_adapt", "lr": 0}]))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
     def test_time_roster(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL)
@@ -486,7 +514,7 @@ class TestCli:
         assert [r["method"] for r in rows] == [
             "no_adapt", "tent", "entropy_select", "seva", "explicit_va_5", "explicit_va_7",
         ]
-        assert list(rows[0].keys()) == TIMING_COLUMNS
+        assert header_of(out / "timing.csv") == TIMING_HEADER
         by_name = {r["method"]: r for r in rows}
         assert int(by_name["seva"]["n_backward"]) <= int(by_name["tent"]["n_backward"])
 
@@ -496,12 +524,17 @@ CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 class TestShippedConfigs:
     def test_committed_scenario_file_matches_module(self):
-        from seva.committed import committed_config
-
         tree = json.loads((CONFIGS_DIR / "committed_scenario.json").read_text())
         expected = dict(committed_config().tree)
         expected["out_dir"] = tree["out_dir"]  # only the destination differs
         assert tree == expected
+
+    def test_config_hashes_are_pinned(self):
+        # a renamed or added constructor default would change the resolved
+        # tree, and with it every config hash
+        assert config_hash(resolve_config({})) == "2cc297e5bd7d3991"
+        assert config_hash(committed_config()) == "7814497eb07b5e52"
+        assert config_hash(load_config(CONFIGS_DIR / "example_run.json")) == "d33ff0962817500a"
 
     def test_example_config_loads(self):
         cfg = load_config(CONFIGS_DIR / "example_run.json")

@@ -110,7 +110,7 @@ class TestSoftmaxEntropy:
         rng = np.random.default_rng(3)
         L = rng.standard_normal((40, 6)) * 5
         identity_head = ClassifierHead(np.eye(6), np.zeros(6))  # logits are the features
-        rows, _ = EntropyLoss(identity_head).value_and_pullback(L)
+        rows = EntropyLoss(identity_head).value_and_pullback(L)[0]
         for i in range(40):
             assert rows[i] == pytest.approx(entropy(softmax(L[i])), abs=1e-12)
 
@@ -182,7 +182,7 @@ class TestAugmentedEntropy:
         head = random_head(rng, C=5, d=6)
         sigma = random_sigma(rng, 6)
         Z = rng.standard_normal((20, 6))
-        batch, _ = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+        batch = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)[0]
         for i in range(20):
             assert batch[i] == pytest.approx(augmented_entropy(head, Z[i], sigma), abs=1e-12)
 
@@ -301,7 +301,7 @@ class TestFeatureGradient:
         head = random_head(rng, C=4, d=5)
         sigma = random_sigma(rng, 5)
         Z = rng.standard_normal((8, 5))
-        _, pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+        pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)[1]
         G = pullback()
         for i in range(8):
             np.testing.assert_allclose(
@@ -391,7 +391,7 @@ class TestGemmForm:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6), st.floats(0.05, 60.0))
     def test_property_matches_pair_forms(self, seed, C, d, scale):
         head, Z, sigma = kernel_instance(seed, C, d, scale)
-        got, _ = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+        got = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)[0]
         assert (got >= 0.0).all()
         np.testing.assert_allclose(got, literal_pair_form(head, Z, sigma), rtol=1e-9, atol=1e-12)
         for z, v in zip(Z, got):
@@ -407,7 +407,7 @@ class TestGemmForm:
                 head, Z, sigma = kernel_instance(seed, C=20, d=8, scale=scale)
                 L = Z @ head.weights.T + head.biases
                 assert (L.max(axis=1) - L.min(axis=1)).mean() >= 50.0
-                got, pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+                got, pullback, _ = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
                 n_exact.append(pair_form_rows[-1])
                 np.testing.assert_allclose(got, literal_pair_form(head, Z, sigma), rtol=1e-9, atol=1e-12)
                 assert np.isfinite(pullback()).all()
@@ -440,7 +440,7 @@ class TestGemmForm:
         rng = np.random.default_rng(15)
         for scale in (1e-3, 1.0, 100.0):
             head, Z, sigma = kernel_instance(int(rng.integers(1 << 30)), C=1, d=5, scale=scale)
-            losses, pullback = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
+            losses, pullback, _ = AugmentedEntropyLoss(head, sigma).value_and_pullback(Z)
             assert (losses == 0.0).all()
             assert (pullback() == 0.0).all()
 
@@ -453,7 +453,7 @@ class TestGemmForm:
             loss = AugmentedEntropyLoss(head, sigma)
             tracemalloc.start()
             try:
-                losses, pullback = loss.value_and_pullback(Z)
+                losses, pullback, _ = loss.value_and_pullback(Z)
                 G = pullback()
                 _, peak = tracemalloc.get_traced_memory()
             finally:

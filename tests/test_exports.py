@@ -1,16 +1,19 @@
-"""Public surface: every name a module exports exists, and no module imports
-a name it never uses."""
+"""Public surface: every name a module exports exists, and no module, test
+or demo imports a name it never uses."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import seva
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(seva.__path__))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -51,3 +54,8 @@ def test_unused_import_check_sees_unused_names():
 def test_no_module_imports_a_name_it_never_uses(name):
     source = inspect.getsource(importlib.import_module(f"seva.{name}"))
     assert unused_imports(source) == [], f"seva.{name} imports names it never uses"
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_test_or_demo_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == [], f"{path.name} imports names it never uses"

@@ -10,17 +10,15 @@ from seva.core_math import AugmentedEntropyLoss, DiagCovariance, DimensionMismat
 from seva.model import (
     NORM_EPS,
     LayerCache,
-    adaptable_layout,
     adaptable_params,
     backward_adaptable,
-    batch_loss,
     build_network,
     calibrate_covariance,
     forward_features_batch,
     forward_with_caches,
-    grad_loss_wrt_adaptable,
     set_adaptable_params,
 )
+from model_helpers import adaptable_layout, batch_loss, grad_loss_wrt_adaptable, network_spec
 
 
 def feature(net, x):
@@ -108,7 +106,7 @@ class TestBuild:
             np.testing.assert_array_equal(layer.beta, np.zeros(8))
 
     def test_spec_round_trip(self, net):
-        spec = net.spec()
+        spec = network_spec(net)
         rebuilt = build_network(
             seed=spec["seed"],
             d_in=spec["d_in"],
