@@ -24,18 +24,33 @@ samples. Selection is strict: a sample trains only if its loss is
 < rho * ln(C). Labels never enter the engine; ``run_stream`` is the
 evaluator that compares the engine's pre-update predictions against the
 hidden labels.
+
+While the parameters stay fixed, ``run_stream`` lets the engine score the
+coming batches as one block. Group norm is per sample, so a sample's
+feature, loss and prediction do not depend on the rows scored beside it.
+After m steps in a row without an update the engine is handed the next
+2^m batches (capped at the rest of the stream); the ``adapt_step`` call
+of the first of them scores the whole block, and each later call whose
+input is the next block batch (the same object) is served from it. An
+update, or any other input, drops the rest of the block. A served batch
+that selects samples runs its forward pass and loss again, at the same
+parameters and with the same bits, for the caches its update needs.
+``Counters.n_forward`` counts each scored sample once, at the step that
+reports it; block rows that an update drops are not counted.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Callable
 
 import numpy as np
 
-from .core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss, softmax_rows
+from .core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss
 from .model import (
     LayerCache,
     ToyNetwork,
@@ -43,6 +58,7 @@ from .model import (
     backward_adaptable,
     calibrate_covariance,
     check_input,
+    forward_features_batch,
     forward_with_caches,
     set_adaptable_params,
 )
@@ -59,6 +75,12 @@ __all__ = [
     "sgd_momentum_step",
     "run_stream",
 ]
+
+
+# A look-ahead block is scored in chunks of whole batches of at most this
+# many rows (at least one batch each): that bounds the loss's (rows, C)
+# temporaries, which an unchunked 89-batch block grows by megabytes.
+BLOCK_CHUNK_ROWS = 256
 
 
 def _below_threshold(losses: np.ndarray, threshold: float) -> np.ndarray:
@@ -280,6 +302,9 @@ class AdaptEngine:
         self.opt_state = OptimizerState.zeros_like(adaptable_params(net))
         self.counters = Counters()
         self._va_rng = substream(seed, "vicinal-rounds")
+        self._idle_steps = 0  # steps in a row without an update
+        self._ahead: deque = deque()  # look-ahead batch inputs not yet served
+        self._scored: deque = deque()  # their (losses, predicted, confidence), once scored
         self._set_sigma(sigma)
 
     @property
@@ -287,6 +312,7 @@ class AdaptEngine:
         return self._sigma
 
     def _set_sigma(self, sigma: DiagCovariance | None) -> None:
+        self._drop_look_ahead()
         self._sigma = sigma
         recipe = self.method.recipe
         self.loss = None if sigma is None and recipe.needs_sigma else recipe.loss(self.net.head, sigma)
@@ -310,6 +336,60 @@ class AdaptEngine:
         set_adaptable_params(self.net, new_params)
         self.counters.n_optimizer_steps += 1
 
+    @property
+    def _block_size(self) -> int:
+        """Batches to look ahead: 2^m after m steps in a row without an update."""
+        return 1 << self._idle_steps
+
+    def _look_ahead(self, upcoming: list) -> None:
+        """Queue the inputs of the coming batches, the next one first, to be
+        scored as one block by the ``adapt_step`` call of the first.
+
+        The block ends before the first input that is not an (n, d_in)
+        array, so that a malformed batch fails at its own step, with its
+        own error; a single batch is no block either.
+        """
+        self._drop_look_ahead()
+        d_in = self.net.d_in
+        block = list(takewhile(lambda b: isinstance(b, np.ndarray) and b.shape[1:] == (d_in,), upcoming))
+        if len(block) > 1:
+            self._ahead.extend(block)
+
+    def _drop_look_ahead(self) -> None:
+        self._ahead.clear()
+        self._scored.clear()
+
+    def _score_block(self) -> None:
+        """Losses, predictions and confidences of every look-ahead batch at
+        the current parameters, in chunks of whole batches."""
+        batches = list(self._ahead)
+        lo = 0
+        while lo < len(batches):
+            hi, rows = lo + 1, len(batches[lo])
+            while hi < len(batches) and rows + len(batches[hi]) <= BLOCK_CHUNK_ROWS:
+                rows += len(batches[hi])
+                hi += 1
+            feats = forward_features_batch(self.net, np.concatenate(batches[lo:hi]))
+            losses, _, probs = self.loss.value_and_pullback(feats)
+            predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
+            start = 0
+            for b in batches[lo:hi]:
+                part = slice(start, start + len(b))
+                self._scored.append((losses[part], predicted[part], confidence[part]))
+                start = part.stop
+            lo = hi
+
+    def _serve(self, inputs):
+        """The look-ahead scores of ``inputs`` if it is the next block batch,
+        else None (and the block is dropped)."""
+        if not self._ahead or self._ahead[0] is not inputs:
+            self._drop_look_ahead()
+            return None
+        if not self._scored:
+            self._score_block()
+        self._ahead.popleft()
+        return self._scored.popleft()
+
     def adapt_step(self, inputs) -> StepReport:
         """Predict, score, select, and (maybe) update on one batch."""
         X = check_input(self.net, inputs)
@@ -320,23 +400,36 @@ class AdaptEngine:
         t0 = time.perf_counter()
         recipe = self.method.recipe
 
-        feats, caches = forward_with_caches(self.net, X)
+        served = self._serve(inputs)
+        if served is None:
+            feats, caches = forward_with_caches(self.net, X)
+            losses, pullback, probs = self.loss.value_and_pullback(feats)
+            predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
+        else:
+            losses, predicted, confidence = served
         self.counters.n_forward += X.shape[0]
-        losses, pullback, logits = self.loss.value_and_pullback(feats)
-        probs = softmax_rows(logits)
         selected = recipe.select(losses, self.threshold)
         n_selected = int(selected.sum())
         steps_before = self.counters.n_optimizer_steps
         if n_selected > 0:
+            if served is not None:
+                feats, caches = forward_with_caches(self.net, X)
+                pullback = self.loss.value_and_pullback(feats)[1]
             recipe.update(self, X, caches, pullback, selected, n_selected)
+        updated = self.counters.n_optimizer_steps > steps_before
+        if updated:
+            self._idle_steps = 0
+            self._drop_look_ahead()
+        else:
+            self._idle_steps += 1
 
         return StepReport(
             losses=losses,
             selected=selected,
-            predicted=probs.argmax(axis=1),
-            confidence=probs.max(axis=1),
+            predicted=predicted,
+            confidence=confidence,
             n_selected=n_selected,
-            updated=self.counters.n_optimizer_steps > steps_before,
+            updated=updated,
             step_wall_time=time.perf_counter() - t0,
         )
 
@@ -345,13 +438,18 @@ def run_stream(engine: AdaptEngine, stream) -> RunTrace:
     """Single ordered pass; online accuracy from pre-update predictions.
 
     ``stream`` yields batches exposing ``inputs`` and ``labels``; only the
-    inputs ever reach the engine.
+    inputs ever reach the engine, one ``adapt_step`` call per batch. When
+    the engine has no look-ahead batches left, it is first handed the
+    inputs of the next ``2^m`` batches (see the module docstring).
     """
     if engine.method.needs_sigma and engine.sigma is None:
         raise RuntimeError(f"method '{engine.method.kind}' requires calibration before streaming")
+    batches = list(stream)
     trace = RunTrace()
     t0 = time.perf_counter()
-    for batch in stream:
+    for i, batch in enumerate(batches):
+        if not engine._ahead:
+            engine._look_ahead([b.inputs for b in batches[i : i + engine._block_size]])
         report = engine.adapt_step(batch.inputs)
         labels = np.asarray(batch.labels)
         trace.steps.append(report)

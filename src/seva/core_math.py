@@ -17,7 +17,8 @@ the augmented entropy, a covariance): ``EntropyLoss`` and
 ``AugmentedEntropyLoss``. Their ``value_and_pullback`` scores an (n, d)
 batch of features and returns the per-sample losses, a pullback that
 forms the (n, d) feature gradients from the same intermediates, and the
-(n, C) logits, so a caller needs no second head pass. They are
+(n, C) plain-softmax probabilities, so a caller needs no second head pass
+or softmax. They are
 the only batch code for these quantities; the single-feature functions
 below wrap them.
 
@@ -223,13 +224,18 @@ class EntropyLoss:
     def value_and_pullback(self, Z):
         """Losses of the (n, d) feature rows, a pullback returning their
         (n, d) feature gradients ``weights^T [-p * (log p + H)]``, and the
-        (n, C) logits the losses were formed from."""
+        (n, C) plain-softmax probabilities, formed from the loss's own
+        exponentials and row sums."""
         Z = _feature_rows(self.head, Z)
         L = Z @ self.head.weights.T + self.head.biases
-        logp = log_softmax_rows(L)
+        shifted = L - L.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        row_sums = e.sum(axis=1, keepdims=True)
+        logp = shifted - np.log(row_sums)  # log_softmax_rows(L), bit for bit
         p = np.exp(logp)
         h = -(p * logp).sum(axis=1)
-        return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights, L
+        e /= row_sums  # softmax_rows(L), bit for bit
+        return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights, e
 
 
 # Rows holding an inner sum S below _S_UNDERFLOW are recomputed in the pair
@@ -286,8 +292,8 @@ class AugmentedEntropyLoss:
 
     def value_and_pullback(self, Z):
         """Losses of the (n, d) feature rows, a pullback returning their
-        (n, d) feature gradients, and the (n, C) logits ``Z @ weights^T +
-        biases`` the losses were formed from.
+        (n, d) feature gradients, and the (n, C) plain-softmax probabilities
+        ``softmax_rows(Z @ weights^T + biases)``.
 
         With g_j the log-inner-sum, r_ij the softmax over i of t_ij, and
         pbar the robust prediction, the gradient is
@@ -315,7 +321,7 @@ class AugmentedEntropyLoss:
             coeff = pbar * (log_inner - total) + Rpbar_minus_pbar
             return coeff @ self.head.weights
 
-        return total[:, 0], pullback, L
+        return total[:, 0], pullback, softmax_rows(L)
 
     def _pair_form(self, L, pbar):
         """Log inner sums and R pbar of the given logit rows, in the literal

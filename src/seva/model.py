@@ -168,14 +168,18 @@ def backward_adaptable(net: ToyNetwork, caches: list[LayerCache], d_feature: np.
 
     ``d_feature`` is (n, d): the gradient of the scalar loss with respect to
     each sample's feature. Rows may be zero for samples excluded from the loss.
+    The first layer stops at its (gamma, beta) gradients: the gradient with
+    respect to the input is never used.
     """
     _, d_act = ACTIVATIONS[net.activation]
     grads: list[np.ndarray] = []
     delta = np.asarray(d_feature, dtype=np.float64)
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+    for depth, (layer, cache) in enumerate(zip(reversed(net.layers), reversed(caches)), 1):
         d_pre = delta * d_act(cache.output)
         grads.append(np.add.reduce(d_pre, axis=0))  # d_beta
         grads.append(np.add.reduce(d_pre * cache.normalized, axis=0))  # d_gamma
+        if depth == len(net.layers):
+            break
         # group-norm backward: dh = inv * (dn - mean(dn) - nh * mean(dn * nh))
         n, c = d_pre.shape
         k = c // layer.groups

@@ -2,10 +2,13 @@
 
 One cell = one (method, seed) pair on the shared world/model/stream derived
 from the master seed, so cells are paired comparisons; ``run_cells`` builds
-the world, network and head once and runs every cell of a grid on it. Each
-cell writes a JSONL trace (deterministic bytes: no wall-clock fields), and
-every grid writes one CSV summary. The resolved config is emitted next to
-the artifacts; re-running it reproduces the traces byte for byte.
+the world, network and head once and runs every cell of a grid on it, seed
+by seed: each seed's stream is generated once, serves every cell of that
+seed, and is released before the next seed's. Each cell writes a JSONL
+trace (deterministic bytes: no wall-clock fields), and every grid writes
+one CSV summary, whose rows are put back in cell-major order. The resolved
+config is emitted next to the artifacts; re-running it reproduces the
+traces byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .model import ToyNetwork, build_network
 from .oracle import BoundGapReport, bound_sweep
 from .rng import derive_seed
 from .scenarios import (
+    Batch,
     InfeasibleWorldError,
     SelectionScore,
     World,
@@ -40,6 +44,7 @@ from .scenarios import (
 __all__ = [
     "CellResult",
     "build_world_and_model",
+    "build_stream",
     "run_cell",
     "run_cells",
     "execute_run",
@@ -130,17 +135,26 @@ def build_world_and_model(cfg: RunConfig) -> tuple[World, ToyNetwork, float]:
     )
 
 
+def build_stream(cfg: RunConfig, world: World, run_seed: int) -> list[Batch]:
+    """The (read-only) stream of one run seed."""
+    return generate_stream(world, cfg.stream_spec(seed=derive_seed(cfg.master_seed, "stream", run_seed)))
+
+
 def run_cell(
-    cfg: RunConfig, built: tuple[World, ToyNetwork, float], name: str, method: MethodConfig, run_seed: int
+    cfg: RunConfig,
+    built: tuple[World, ToyNetwork, float],
+    stream: list[Batch],
+    name: str,
+    method: MethodConfig,
+    run_seed: int,
 ) -> CellResult:
-    """Execute one (method, seed) cell on a ``build_world_and_model`` result.
+    """Execute one (method, seed) cell on a ``build_world_and_model`` result
+    and the seed's ``build_stream``.
 
     The engine adapts a deep copy of the built network (adaptation replaces
     its gamma/beta arrays), so no cell sees another cell's updates.
     """
-    world, net, clean_acc = built
-    spec = cfg.stream_spec(seed=derive_seed(cfg.master_seed, "stream", run_seed))
-    stream = generate_stream(world, spec)
+    _, net, clean_acc = built
     engine = AdaptEngine(
         copy.deepcopy(net),
         method,
@@ -168,15 +182,24 @@ def run_cell(
 
 
 def run_cells(cfg: RunConfig, cells: Iterable[tuple[str, MethodConfig]], seeds: Iterable[int]) -> Iterator[CellResult]:
-    """Yield one CellResult per (name, method) cell x seed, cell-major.
+    """Yield one CellResult per seed x (name, method) cell, seed-major.
 
     The world, network and head are built once, before the first cell, so
     an infeasible world raises InfeasibleWorldError before any cell runs.
+    Each seed's stream is generated once and shared by its cells.
     """
     built = build_world_and_model(cfg)
-    for name, method in cells:
-        for seed in seeds:
-            yield run_cell(cfg, built, name, method, seed)
+    cells = list(cells)
+    for seed in seeds:
+        stream = build_stream(cfg, built[0], seed)
+        for name, method in cells:
+            yield run_cell(cfg, built, stream, name, method, seed)
+
+
+def _cell_major(items: list, n_cells: int) -> list:
+    """Seed-major ``run_cells`` output (or values made from it) in cell-major
+    order: every seed of the first cell, then of the next."""
+    return [item for c in range(n_cells) for item in items[c::n_cells]]
 
 
 def _json_line(record: dict) -> str:
@@ -259,13 +282,15 @@ def execute_run(cfg: RunConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, out)
+    methods = cfg.methods()
     rows = []
     trace_paths = []
-    for result in run_cells(cfg, cfg.methods(), cfg.seeds):
+    for result in run_cells(cfg, methods, cfg.seeds):
         path = out / f"trace_{result.name}_seed{result.seed}.jsonl"
         write_trace(result, cfg, path)
         trace_paths.append(path)
         rows.append(summary_row(result, cfg))
+    rows, trace_paths = _cell_major(rows, len(methods)), _cell_major(trace_paths, len(methods))
     summary_path = out / "summary.csv"
     write_csv(rows, summary_path)
     return {"summary": summary_path, "traces": trace_paths, "rows": rows}
@@ -331,7 +356,7 @@ def execute_ablate(cfg: RunConfig, out_dir: str | Path, sweep: str = "components
     else:
         raise ValueError(f"unknown sweep '{sweep}'")
     value_of = {name: v for (name, _), v in zip(cells, values)}
-    rows = [
+    seed_major = [
         {
             "cell": result.name,
             "param": param,
@@ -343,6 +368,7 @@ def execute_ablate(cfg: RunConfig, out_dir: str | Path, sweep: str = "components
         }
         for result in run_cells(cfg, cells, cfg.seeds)
     ]
+    rows = _cell_major(seed_major, len(cells))
     write_csv(rows, out / csv_name)
     return rows
 

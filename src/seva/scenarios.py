@@ -279,12 +279,19 @@ def _corruption_segments(spec: StreamSpec) -> list[tuple[int, int, CorruptionSpe
 
 
 def generate_stream(world: World, spec: StreamSpec) -> list[Batch]:
-    """Materialize the full ordered stream of (inputs, hidden labels) batches."""
+    """Materialize the full ordered stream of (inputs, hidden labels) batches.
+
+    The batches are read-only views: one stream serves several cells, and
+    an engine matches look-ahead batches by identity, so an in-place write
+    raises instead of silently changing what later cells see.
+    """
     rng = substream(spec.seed, "stream")
     labels = _draw_labels(spec, world.n_classes, rng)
     X = sample_clean(world, rng, labels)
     for start, stop, cspec in _corruption_segments(spec):
         X[start:stop] = corrupt_batch(X[start:stop], cspec, rng)
+    X.flags.writeable = False
+    labels.flags.writeable = False
     batches = []
     for b in range(spec.n_batches):
         sl = slice(b * spec.batch_size, (b + 1) * spec.batch_size)

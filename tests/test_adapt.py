@@ -1,6 +1,9 @@
 """Adaptation engine: selection rule, optimizer, method behavior, streaming."""
 
+import copy
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +29,13 @@ from seva.core_math import (
     softmax,
     softmax_rows,
 )
-from seva.model import adaptable_params, build_network, forward_features_batch
+from seva.config import load_config, resolve_config
+from seva.model import adaptable_params, build_network, calibrate_covariance, forward_features_batch
+from seva.rng import derive_seed
+from seva.runner import build_stream, build_world_and_model
 from seva.scenarios import Batch
 from model_helpers import batch_loss, grad_loss_wrt_adaptable
+from test_trace_digests import GRID as DIGEST_GRID
 
 
 def selected(losses, threshold):
@@ -482,3 +489,121 @@ class TestConfusingFamilyMonotonicity:
         flips = sum(1 for a, b in zip(decisions, decisions[1:]) if a != b)
         assert flips == 1
         assert decisions[0] is True and decisions[-1] is False
+
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def report_bytes(report):
+    """Every StepReport field but the wall time, comparable by equality."""
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(report).items()
+        if name != "step_wall_time"
+    }
+
+
+class TestLookAhead:
+    """Scoring runs of batches as one block while the parameters are fixed
+    gives the bits, reports and counters of batch-by-batch steps."""
+
+    @pytest.mark.parametrize("config", ["committed_scenario.json", "example_run.json"])
+    def test_whole_stream_block_matches_batch_by_batch_bits(self, config):
+        # BLAS may choose its kernel by row count, so this is the gate for
+        # serving steps from a block
+        cfg = load_config(CONFIGS_DIR / config)
+        world, net, _ = build_world_and_model(cfg)
+        X = np.concatenate([b.inputs for b in build_stream(cfg, world, cfg.seeds[0])])
+        X[5] = np.nan
+        X[40] = 0.25  # a constant row: zero variance in every group
+        B = cfg.tree["stream"]["batch_size"]
+        sigma = calibrate_covariance(net, X[B:][: cfg.calibration_samples], 1.5)  # past the NaN row
+        feats = forward_features_batch(net, X)
+        per_batch = np.concatenate([forward_features_batch(net, X[i : i + B]) for i in range(0, len(X), B)])
+        assert feats.tobytes() == per_batch.tobytes()
+        for loss in (EntropyLoss(net.head), AugmentedEntropyLoss(net.head, sigma)):
+            with np.errstate(invalid="ignore"):
+                block = loss.value_and_pullback(feats)
+                parts = [loss.value_and_pullback(per_batch[i : i + B]) for i in range(0, len(X), B)]
+            for k in (0, 2):  # losses, probabilities
+                assert block[k].tobytes() == np.concatenate([p[k] for p in parts]).tobytes()
+            assert np.isnan(block[0][5]) and np.isfinite(block[0][np.arange(len(X)) != 5]).all()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_run_stream_matches_plain_steps_for_every_kind(self, monkeypatch, seed):
+        cfg = resolve_config(DIGEST_GRID)
+        built = build_world_and_model(cfg)
+        stream = build_stream(cfg, built[0], seed)
+        served = {}  # engine -> whether each of its steps was served from a block
+        serve = AdaptEngine._serve
+
+        def observed(e, inputs):
+            scores = serve(e, inputs)
+            served.setdefault(e, []).append(scores is not None)
+            return scores
+
+        monkeypatch.setattr(AdaptEngine, "_serve", observed)
+
+        def engine(name, method):
+            e = AdaptEngine(copy.deepcopy(built[1]), method, seed=derive_seed(cfg.master_seed, "engine", seed, name))
+            if method.needs_sigma:
+                e.calibrate(np.concatenate([b.inputs for b in stream])[: cfg.calibration_samples])
+            return e
+
+        assert {method.kind for _, method in cfg.methods()} == set(RECIPES)
+        served_and_updated = {}
+        for name, method in cfg.methods():
+            ahead, plain = engine(name, method), engine(name, method)
+            trace = run_stream(ahead, stream)
+            reports = [plain.adapt_step(b.inputs) for b in stream]
+            assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in reports]
+            assert ahead.counters == plain.counters
+            assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
+            assert not any(served.get(plain, []))
+            steps = list(zip(served[ahead], trace.steps))
+            served_and_updated[name] = (sum(s for s, _ in steps), sum(s and r.updated for s, r in steps))
+        # the frozen method is served from blocks; entropy_select also updates
+        # on served batches, recomputing their forward pass
+        assert served_and_updated["no_adapt"][0] > 0
+        assert served_and_updated["es"][1] > 0
+
+    def test_never_updating_stream_scores_blocks_of_2_8_and_the_rest(self, monkeypatch):
+        net, _ = small_setup(seed=15)
+        rng = np.random.default_rng(16)
+        stream = [Batch(rng.standard_normal((4, 6)), np.zeros(4, dtype=int)) for _ in range(100)]
+        sizes = []
+        score_block = AdaptEngine._score_block
+        monkeypatch.setattr(AdaptEngine, "_score_block", lambda e: sizes.append(len(e._ahead)) or score_block(e))
+        engine = AdaptEngine(net, MethodConfig(kind="no_adapt"))
+        run_stream(engine, stream)
+        assert sizes == [2, 8, 89]
+        assert engine.counters.n_forward == 400
+
+    def test_other_input_drops_the_look_ahead(self):
+        net, stream = small_setup(seed=17)
+        method = MethodConfig(kind="entropy_select", threshold_rho=0.01, lr=0.05)  # selects nothing
+        engine = AdaptEngine(copy.deepcopy(net), method)
+        fresh = AdaptEngine(copy.deepcopy(net), method)
+        engine._look_ahead([b.inputs for b in stream[:4]])
+        inputs = [stream[0].inputs, stream[1].inputs.copy(), stream[2].inputs]  # equal, not the same object
+        got = [engine.adapt_step(x) for x in inputs[:2]]
+        assert not engine._ahead  # dropped by the copy
+        got.append(engine.adapt_step(inputs[2]))
+        want = [fresh.adapt_step(x) for x in inputs]
+        assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
+        assert engine.counters == fresh.counters
+
+    @pytest.mark.parametrize("bad", [np.zeros((8, 5)), np.zeros(6), np.zeros((0, 6))], ids=["width", "1d", "empty"])
+    def test_a_malformed_batch_fails_at_its_own_step(self, bad):
+        # the batches before it are scored and counted, as without look-ahead
+        net, stream = small_setup(seed=18)
+        stream = stream + [Batch(bad, np.zeros(len(bad), dtype=int))] + stream
+        engine = AdaptEngine(net, MethodConfig(kind="no_adapt"))
+        with pytest.raises(DimensionMismatch if bad.size else ValueError, match=r"\(8, 5\)|\(6,\)|empty batch"):
+            run_stream(engine, stream)
+        assert engine.counters.n_forward == 6 * 8
+
+    def test_adapt_step_signature_is_fixed(self):
+        # the benchmark wraps it in a pass-through shaped record(report, engine, inputs)
+        signature = inspect.signature(AdaptEngine.adapt_step)
+        assert str(signature.replace(return_annotation=inspect.Signature.empty)) == "(self, inputs)"

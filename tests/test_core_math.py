@@ -444,6 +444,19 @@ class TestGemmForm:
             assert (losses == 0.0).all()
             assert (pullback() == 0.0).all()
 
+    @pytest.mark.parametrize("scale", [0.1, 5.0, 60.0])
+    def test_both_losses_return_the_plain_softmax(self, scale):
+        # the third value is softmax_rows of the plain logits, bit for bit,
+        # on finite, NaN and constant rows and on rows that fall back
+        head, Z, sigma = kernel_instance(int(10 * scale), C=12, d=6, scale=scale, n=10)
+        Z[3] = np.nan
+        Z[4] = Z[4, 0]
+        expected = softmax_rows(Z @ head.weights.T + head.biases)
+        for loss in (EntropyLoss(head), AugmentedEntropyLoss(head, sigma)):
+            with np.errstate(invalid="ignore"):
+                probs = loss.value_and_pullback(Z)[2]
+            assert probs.tobytes() == expected.tobytes()
+
     def test_no_pair_tensor_is_allocated(self, pair_form_rows):
         rng = np.random.default_rng(16)
         for C, d, limit in ((100, 64, 1 << 20), (1000, 512, 16 << 20)):

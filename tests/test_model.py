@@ -413,6 +413,18 @@ class TestGroupNormKernel:
         else:
             assert np.isfinite(feats).all() and np.isfinite(grads).all()
 
+    @pytest.mark.parametrize("n_layers", [0, 1, 3])
+    def test_backward_covers_every_layer_at_any_depth(self, n_layers):
+        # the first layer stops at its (gamma, beta) gradients
+        net = build_network(seed=7, d_in=6, d=6, C=3, n_layers=n_layers, groups=2)
+        rng = np.random.default_rng(8)
+        feats, caches = forward_with_caches(net, rng.standard_normal((5, 6)))
+        d_feature = rng.standard_normal(feats.shape)
+        grads = backward_adaptable(net, caches, d_feature)
+        assert grads.shape == adaptable_params(net).shape == (12 * n_layers,)
+        if n_layers:
+            assert same_bits(grads, legacy_backward_adaptable(net, caches, d_feature))
+
     @pytest.mark.parametrize("kind", ["tent", "seva"])
     @pytest.mark.parametrize("batch", ["constant_rows", "zero_row", "single"])
     def test_adapt_step_on_degenerate_batches_matches_legacy(self, monkeypatch, kind, batch):

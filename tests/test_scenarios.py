@@ -201,6 +201,15 @@ class TestGenerateStream:
             np.testing.assert_array_equal(x.inputs, y.inputs)
             np.testing.assert_array_equal(x.labels, y.labels)
 
+    def test_batches_are_read_only(self):
+        # one stream serves every cell of its seed: a write must raise
+        stream = generate_stream(make_world(seed=32, C=4, d_in=5), default_spec(seed=33))
+        for batch in (stream[0], stream[-1]):
+            with pytest.raises(ValueError, match="read-only"):
+                batch.inputs[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                batch.labels[:] = 0
+
 
 class TestSelectionF1:
     def run_trace(self, selected, predicted, labels):
