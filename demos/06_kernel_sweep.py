@@ -14,7 +14,9 @@
 # forward_with_caches and backward_adaptable (the group-norm forward and
 # backward of a 2-layer network) at the committed shape (B=32, d_in=d=16,
 # 4 groups) and the wide shape (B=64, d_in=d=64, 8 groups), as median
-# microseconds per call.
+# microseconds per call. "from stem" is forward_with_caches started from
+# the batch's first-layer stem, as a step inside a stem window runs it; the
+# difference from "forward" is the per-step saving of the window.
 import os
 
 # BLAS is pinned to one thread before numpy is first imported, so the
@@ -28,7 +30,7 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from seva.core_math import AugmentedEntropyLoss, ClassifierHead, DiagCovariance  # noqa: E402
-from seva.model import backward_adaptable, build_network, forward_with_caches  # noqa: E402
+from seva.model import backward_adaptable, build_network, forward_stem, forward_with_caches  # noqa: E402
 from seva.oracle import mc_entropy  # noqa: E402
 
 SHAPES = ((10, 16), (100, 64), (300, 64), (1000, 512))  # (C, d)
@@ -92,9 +94,11 @@ def engine_sweep(shapes=ENGINE_SHAPES, n_layers=2, reps=2000):
         rng = np.random.default_rng(d)
         X, d_feature = rng.standard_normal((B, d)), rng.standard_normal((B, d))
         _, caches = forward_with_caches(net, X)
+        stem = forward_stem(net, [X])
         rows.append({
             "shape": name, "B": B, "d": d, "groups": groups,
             "forward_us": 1e3 * _median_ms(lambda: forward_with_caches(net, X), reps),
+            "from_stem_us": 1e3 * _median_ms(lambda: forward_with_caches(net, X, stem), reps),
             "backward_us": 1e3 * _median_ms(lambda: backward_adaptable(net, caches, d_feature), reps),
         })
     return rows
@@ -110,7 +114,8 @@ if __name__ == "__main__":
     print(f"\n{'C':>5} {'d':>4} {'n':>7} {'mc_entropy ms':>14} {'peak MB':>8}")
     for r in mc_sweep():
         print(f"{r['C']:5d} {r['d']:4d} {r['n']:7d} {r['call_ms']:14.1f} {r['peak_mb']:8.2f}")
-    print(f"\n{'shape':>9} {'B':>3} {'d':>3} {'groups':>6} {'forward us':>11} {'backward us':>12}")
+    print(f"\n{'shape':>9} {'B':>3} {'d':>3} {'groups':>6} {'forward us':>11} {'from stem us':>13} "
+          f"{'backward us':>12}")
     for r in engine_sweep():
         print(f"{r['shape']:>9} {r['B']:3d} {r['d']:3d} {r['groups']:6d} "
-              f"{r['forward_us']:11.1f} {r['backward_us']:12.1f}")
+              f"{r['forward_us']:11.1f} {r['from_stem_us']:13.1f} {r['backward_us']:12.1f}")

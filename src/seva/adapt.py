@@ -37,6 +37,16 @@ that selects samples runs its forward pass and loss again, at the same
 parameters and with the same bits, for the caches its update needs.
 ``Counters.n_forward`` counts each scored sample once, at the step that
 reports it; block rows that an update drops are not counted.
+
+Only the group-norm affine adapts, so each batch's first-layer "stem"
+(``model.forward_stem``) depends on its input alone. ``run_stream`` also
+hands the engine a window of coming batches, up to ``STEM_WINDOW_ROWS``
+rows. The first ``adapt_step`` in the window that runs a forward pass
+(scoring its batch or a look-ahead block, or recomputing a served batch
+that selects samples) computes the stems of every batch left in the
+window, and every later forward on a window batch starts from its stem,
+with the same bits. Stems survive updates; a step whose input is not the
+next window batch (the same object) drops the window.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import islice, takewhile
 from typing import Callable
 
 import numpy as np
@@ -59,6 +69,7 @@ from .model import (
     calibrate_covariance,
     check_input,
     forward_features_batch,
+    forward_stem,
     forward_with_caches,
     set_adaptable_params,
 )
@@ -82,6 +93,36 @@ __all__ = [
 # temporaries, which an unchunked 89-batch block grows by megabytes.
 BLOCK_CHUNK_ROWS = 256
 
+# A stem window holds the coming batches up to this many rows. The step
+# that computes the window's stems pays for all of them, so the window is
+# long enough to make such steps rare: at B=32 it is 64 batches, about 2
+# window-start steps per 100-step stream, which stay out of the 95th
+# percentile of step times (256-row windows put one in every 8 steps, and
+# in every method's tail). At d=16 its stems hold about 330 KB.
+STEM_WINDOW_ROWS = 2048
+
+
+def _whole_batch_chunks(batches: list):
+    """(lo, hi) runs of consecutive whole batches of at most
+    BLOCK_CHUNK_ROWS rows, at least one batch each."""
+    lo = 0
+    while lo < len(batches):
+        hi, rows = lo + 1, len(batches[lo])
+        while hi < len(batches) and rows + len(batches[hi]) <= BLOCK_CHUNK_ROWS:
+            rows += len(batches[hi])
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _split(arrays: tuple, batches: list):
+    """For each of ``batches`` in turn, its rows of every one of ``arrays``."""
+    start = 0
+    for b in batches:
+        part = slice(start, start + len(b))
+        yield tuple(a[part] for a in arrays)
+        start = part.stop
+
 
 def _below_threshold(losses: np.ndarray, threshold: float) -> np.ndarray:
     return losses < threshold
@@ -97,7 +138,7 @@ def _select_none(losses: np.ndarray, threshold: float) -> np.ndarray:
 
 def _one_step(engine: "AdaptEngine", X, caches, pullback, selected, n_selected: int) -> None:
     d_feat = pullback()
-    if not selected.all():
+    if n_selected != len(selected):
         # Unselected rows are zeroed in the cached activations too: a zero
         # feature gradient times a non-finite activation would still be NaN.
         keep = selected[:, None]
@@ -255,12 +296,13 @@ class RunTrace:
 
 
 def threshold_default(C: int, rho: float) -> float:
-    """Selection boundary rho * ln(C)."""
+    """Selection boundary rho * ln(C); an infinite rho gives an infinite
+    boundary for every C (at C = 1, inf * ln 1 would be NaN)."""
     if C < 1:
         raise ValueError(f"need C >= 1, got {C}")
     if not rho > 0:
         raise ValueError(f"need rho > 0, got {rho}")
-    return rho * math.log(C)
+    return math.inf if rho == math.inf else rho * math.log(C)
 
 
 def sgd_momentum_step(
@@ -305,6 +347,8 @@ class AdaptEngine:
         self._idle_steps = 0  # steps in a row without an update
         self._ahead: deque = deque()  # look-ahead batch inputs not yet served
         self._scored: deque = deque()  # their (losses, predicted, confidence), once scored
+        self._window: deque = deque()  # stem-window batch inputs, from this step's on
+        self._stems: deque = deque()  # their forward_stem (normalized, inv_std), once computed
         self._set_sigma(sigma)
 
     @property
@@ -341,17 +385,19 @@ class AdaptEngine:
         """Batches to look ahead: 2^m after m steps in a row without an update."""
         return 1 << self._idle_steps
 
+    def _leading_batches(self, upcoming):
+        """The inputs of ``upcoming`` up to the first that is not an
+        (n, d_in) array, so that a malformed batch is never held ahead and
+        fails at its own step, with its own error."""
+        d_in = self.net.d_in
+        return takewhile(lambda b: isinstance(b, np.ndarray) and b.shape[1:] == (d_in,), upcoming)
+
     def _look_ahead(self, upcoming: list) -> None:
         """Queue the inputs of the coming batches, the next one first, to be
-        scored as one block by the ``adapt_step`` call of the first.
-
-        The block ends before the first input that is not an (n, d_in)
-        array, so that a malformed batch fails at its own step, with its
-        own error; a single batch is no block either.
-        """
+        scored as one block by the ``adapt_step`` call of the first; a
+        single batch is no block."""
         self._drop_look_ahead()
-        d_in = self.net.d_in
-        block = list(takewhile(lambda b: isinstance(b, np.ndarray) and b.shape[1:] == (d_in,), upcoming))
+        block = list(self._leading_batches(upcoming))
         if len(block) > 1:
             self._ahead.extend(block)
 
@@ -359,25 +405,48 @@ class AdaptEngine:
         self._ahead.clear()
         self._scored.clear()
 
+    def _open_window(self, upcoming) -> None:
+        """Hold the inputs of the coming batches, the next one first, as the
+        stem window: as many as fit in STEM_WINDOW_ROWS rows. A network
+        without layers has no stem, and a single batch is no window."""
+        self._drop_window()
+        if not self.net.layers:
+            return
+        window, rows = [], 0
+        for b in self._leading_batches(upcoming):
+            rows += len(b)
+            if rows > STEM_WINDOW_ROWS:
+                break
+            window.append(b)
+        if len(window) > 1:
+            self._window.extend(window)
+
+    def _drop_window(self) -> None:
+        self._window.clear()
+        self._stems.clear()
+
+    def _window_stems(self, n: int) -> list:
+        """Stems of the next ``n`` window batches (fewer if the window holds
+        fewer); the first call that needs one computes the stems of every
+        batch left in the window, in chunks of whole batches."""
+        if n and self._window and not self._stems:
+            held = list(self._window)
+            for lo, hi in _whole_batch_chunks(held):
+                self._stems.extend(_split(forward_stem(self.net, held[lo:hi]), held[lo:hi]))
+        return list(islice(self._stems, n))
+
     def _score_block(self) -> None:
         """Losses, predictions and confidences of every look-ahead batch at
-        the current parameters, in chunks of whole batches."""
+        the current parameters, in chunks of whole batches, each chunk from
+        its stems when all of its batches are in the window."""
         batches = list(self._ahead)
-        lo = 0
-        while lo < len(batches):
-            hi, rows = lo + 1, len(batches[lo])
-            while hi < len(batches) and rows + len(batches[hi]) <= BLOCK_CHUNK_ROWS:
-                rows += len(batches[hi])
-                hi += 1
-            feats = forward_features_batch(self.net, np.concatenate(batches[lo:hi]))
+        in_window = sum(1 for _ in takewhile(lambda pair: pair[0] is pair[1], zip(self._window, batches)))
+        stems = self._window_stems(in_window)
+        for lo, hi in _whole_batch_chunks(batches):
+            stem = tuple(map(np.concatenate, zip(*stems[lo:hi]))) if hi <= len(stems) else None
+            feats = forward_features_batch(self.net, np.concatenate(batches[lo:hi]), stem)
             losses, _, probs = self.loss.value_and_pullback(feats)
-            predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
-            start = 0
-            for b in batches[lo:hi]:
-                part = slice(start, start + len(b))
-                self._scored.append((losses[part], predicted[part], confidence[part]))
-                start = part.stop
-            lo = hi
+            self._scored.extend(_split((losses, probs.argmax(axis=1), probs.max(axis=1)), batches[lo:hi]))
 
     def _serve(self, inputs):
         """The look-ahead scores of ``inputs`` if it is the next block batch,
@@ -399,21 +468,24 @@ class AdaptEngine:
             raise RuntimeError(f"method '{self.method.kind}' requires calibration first")
         t0 = time.perf_counter()
         recipe = self.method.recipe
+        if self._window and self._window[0] is not inputs:
+            self._drop_window()
 
         served = self._serve(inputs)
         if served is None:
-            feats, caches = forward_with_caches(self.net, X)
+            # this step's batch is the window's first, if the window holds any
+            feats, caches = forward_with_caches(self.net, X, *self._window_stems(1))
             losses, pullback, probs = self.loss.value_and_pullback(feats)
             predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
         else:
             losses, predicted, confidence = served
         self.counters.n_forward += X.shape[0]
         selected = recipe.select(losses, self.threshold)
-        n_selected = int(selected.sum())
+        n_selected = int(np.count_nonzero(selected))
         steps_before = self.counters.n_optimizer_steps
         if n_selected > 0:
             if served is not None:
-                feats, caches = forward_with_caches(self.net, X)
+                feats, caches = forward_with_caches(self.net, X, *self._window_stems(1))
                 pullback = self.loss.value_and_pullback(feats)[1]
             recipe.update(self, X, caches, pullback, selected, n_selected)
         updated = self.counters.n_optimizer_steps > steps_before
@@ -422,6 +494,10 @@ class AdaptEngine:
             self._drop_look_ahead()
         else:
             self._idle_steps += 1
+        if self._window:
+            self._window.popleft()
+            if self._stems:
+                self._stems.popleft()
 
         return StepReport(
             losses=losses,
@@ -440,7 +516,9 @@ def run_stream(engine: AdaptEngine, stream) -> RunTrace:
     ``stream`` yields batches exposing ``inputs`` and ``labels``; only the
     inputs ever reach the engine, one ``adapt_step`` call per batch. When
     the engine has no look-ahead batches left, it is first handed the
-    inputs of the next ``2^m`` batches (see the module docstring).
+    inputs of the next ``2^m`` batches, and when it has no stem window
+    left, those of the next ``STEM_WINDOW_ROWS`` rows (see the module
+    docstring).
     """
     if engine.method.needs_sigma and engine.sigma is None:
         raise RuntimeError(f"method '{engine.method.kind}' requires calibration before streaming")
@@ -448,6 +526,8 @@ def run_stream(engine: AdaptEngine, stream) -> RunTrace:
     trace = RunTrace()
     t0 = time.perf_counter()
     for i, batch in enumerate(batches):
+        if not engine._window:
+            engine._open_window(batches[j].inputs for j in range(i, len(batches)))
         if not engine._ahead:
             engine._look_ahead([b.inputs for b in batches[i : i + engine._block_size]])
         report = engine.adapt_step(batch.inputs)

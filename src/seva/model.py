@@ -17,6 +17,13 @@ group mean. That is the reduction and the division np.mean and np.var run
 internally (population variance: the mean of squared deviations from that
 mean), so features, caches and gradients match the np.mean / np.var /
 np.repeat form bit for bit, without its per-call Python dispatch.
+
+Only the affine parameters adapt, so the first layer's linear map and its
+group-norm statistics depend on the input alone. ``forward_stem`` returns
+them for a run of batches as one "stem" (normalized values, 1/std), and
+``forward_with_caches`` / ``forward_features_batch`` can start from a
+batch's rows of it instead of recomputing them, with the same bits. A
+network without layers has no stem.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "build_network",
     "check_input",
     "forward_features_batch",
+    "forward_stem",
     "forward_with_caches",
     "backward_adaptable",
     "adaptable_params",
@@ -121,19 +129,29 @@ def build_network(
     return ToyNetwork(layers, head, d_in, d, activation, seed)
 
 
-def _forward(net: ToyNetwork, X: np.ndarray, keep_caches: bool):
+def _forward(net: ToyNetwork, X, keep_caches: bool, stem=None, stem_only: bool = False):
+    """Features and caches of the (n, d_in) batch X, the first layer's group
+    norm taken from ``stem`` when one is given. With ``stem_only``, X is a
+    list of batches and the result is their stem: each batch's linear map
+    on its own rows, as its own forward computes it (BLAS may round a row
+    differently with the row count), the statistics over all rows at once."""
     act, _ = ACTIVATIONS[net.activation]
     caches: list[LayerCache] = []
     v = X
     for layer in net.layers:
-        h = v @ layer.weight.T
-        n, c = h.shape
-        k = c // layer.groups
-        grouped = h.reshape(n, layer.groups, k)
-        dev = grouped - np.add.reduce(grouped, axis=2, keepdims=True) / k
-        var = np.add.reduce(dev * dev, axis=2) / k  # population variance
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        normalized = (dev * inv[:, :, None]).reshape(n, c)
+        if stem is None:
+            h = np.concatenate([b @ layer.weight.T for b in v]) if stem_only else v @ layer.weight.T
+            n, c = h.shape
+            k = c // layer.groups
+            grouped = h.reshape(n, layer.groups, k)
+            dev = grouped - np.add.reduce(grouped, axis=2, keepdims=True) / k
+            var = np.add.reduce(dev * dev, axis=2) / k  # population variance
+            inv = 1.0 / np.sqrt(var + NORM_EPS)
+            normalized = (dev * inv[:, :, None]).reshape(n, c)
+            if stem_only:
+                return normalized, inv
+        else:
+            (normalized, inv), stem = stem, None
         v = act(layer.gamma * normalized + layer.beta)
         if keep_caches:
             caches.append(LayerCache(normalized=normalized, inv_std=inv, output=v))
@@ -150,16 +168,41 @@ def check_input(net: ToyNetwork, X) -> np.ndarray:
     return X
 
 
-def forward_features_batch(net: ToyNetwork, X) -> np.ndarray:
-    """(n, d) features for an (n, d_in) input batch."""
-    feats, _ = _forward(net, check_input(net, X), keep_caches=False)
+def forward_stem(net: ToyNetwork, batches: list) -> tuple[np.ndarray, np.ndarray]:
+    """The first layer's (n, c) group-normalized values and (n, groups)
+    1/std of the rows of a list of (n_i, d_in) input batches, in order:
+    all of their forward that the adaptable parameters do not touch, with
+    the bits of each batch's own forward."""
+    batches = [check_input(net, b) for b in batches]
+    if not net.layers:
+        raise ValueError("a network without layers has no stem")
+    return _forward(net, batches, keep_caches=False, stem_only=True)
+
+
+def _check_stem(net: ToyNetwork, X: np.ndarray, stem) -> None:
+    if not net.layers or stem[0].shape != (X.shape[0], net.layers[0].channels):
+        raise DimensionMismatch(
+            f"stem of shape {stem[0].shape} does not fit an input batch of shape {X.shape}"
+        )
+
+
+def forward_features_batch(net: ToyNetwork, X, stem=None) -> np.ndarray:
+    """(n, d) features for an (n, d_in) input batch, from its ``forward_stem``
+    when one is given."""
+    X = check_input(net, X)
+    if stem is not None:
+        _check_stem(net, X, stem)
+    feats, _ = _forward(net, X, keep_caches=False, stem=stem)
     return feats
 
 
-def forward_with_caches(net: ToyNetwork, X) -> tuple[np.ndarray, list[LayerCache]]:
-    """Features plus the per-layer intermediates the backward pass consumes."""
+def forward_with_caches(net: ToyNetwork, X, stem=None) -> tuple[np.ndarray, list[LayerCache]]:
+    """Features plus the per-layer intermediates the backward pass consumes,
+    from the batch's ``forward_stem`` when one is given."""
     X = check_input(net, X)
-    feats, caches = _forward(net, X, keep_caches=True)
+    if stem is not None:
+        _check_stem(net, X, stem)
+    feats, caches = _forward(net, X, keep_caches=True, stem=stem)
     return feats, caches
 
 

@@ -140,6 +140,18 @@ def build_stream(cfg: RunConfig, world: World, run_seed: int) -> list[Batch]:
     return generate_stream(world, cfg.stream_spec(seed=derive_seed(cfg.master_seed, "stream", run_seed)))
 
 
+def _leading_rows(stream: list[Batch], n: int) -> np.ndarray:
+    """The first ``n`` input rows of ``stream`` (all of them if it is
+    shorter), concatenating only the leading batches that hold them."""
+    leading, rows = [], 0
+    for batch in stream:
+        if rows >= n:
+            break
+        leading.append(batch.inputs)
+        rows += len(batch.inputs)
+    return np.concatenate(leading)[:n]
+
+
 def run_cell(
     cfg: RunConfig,
     built: tuple[World, ToyNetwork, float],
@@ -162,10 +174,9 @@ def run_cell(
     )
     calib_wall = 0.0
     if method.needs_sigma:
-        inputs = np.concatenate([b.inputs for b in stream])
-        n_calib = min(cfg.calibration_samples, inputs.shape[0])
+        inputs = _leading_rows(stream, cfg.calibration_samples)
         t0 = time.perf_counter()
-        engine.calibrate(inputs[:n_calib])
+        engine.calibrate(inputs)
         calib_wall = time.perf_counter() - t0
     trace = run_stream(engine, stream)
     return CellResult(

@@ -4,13 +4,16 @@ import copy
 import inspect
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seva.adapt
 from seva.adapt import (
     RECIPES,
+    STEM_WINDOW_ROWS,
     AdaptEngine,
     MethodConfig,
     OptimizerState,
@@ -30,7 +33,7 @@ from seva.core_math import (
     softmax_rows,
 )
 from seva.config import load_config, resolve_config
-from seva.model import adaptable_params, build_network, calibrate_covariance, forward_features_batch
+from seva.model import adaptable_params, build_network, calibrate_covariance, forward_features_batch, forward_stem
 from seva.rng import derive_seed
 from seva.runner import build_stream, build_world_and_model
 from seva.scenarios import Batch
@@ -83,6 +86,20 @@ class TestThresholdDefault:
     def test_formula(self):
         assert threshold_default(10, 1.0) == pytest.approx(math.log(10))
         assert threshold_default(10, 0.5) == pytest.approx(0.5 * math.log(10))
+
+    @pytest.mark.parametrize("C", [1, 2, 10, 1000])
+    def test_infinite_rho_is_an_infinite_threshold(self, C):
+        # inf * ln 1 would be NaN, and a NaN threshold selects nothing
+        assert threshold_default(C, math.inf) == math.inf
+
+    def test_unselective_augmented_loss_trains_a_single_class_head(self):
+        net = build_network(seed=3, d_in=6, d=8, C=1, n_layers=2, groups=2)
+        X = np.random.default_rng(4).standard_normal((8, 6))
+        engine = AdaptEngine(net, MethodConfig(kind="seva", threshold_rho=math.inf, lr=0.05))
+        engine.calibrate(X)
+        report = engine.adapt_step(X)
+        assert report.selected.all() and report.n_selected == 8
+        assert report.updated
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -528,6 +545,10 @@ class TestLookAhead:
             for k in (0, 2):  # losses, probabilities
                 assert block[k].tobytes() == np.concatenate([p[k] for p in parts]).tobytes()
             assert np.isnan(block[0][5]) and np.isfinite(block[0][np.arange(len(X)) != 5]).all()
+        # and for starting the block's forward from its batches' stems
+        with np.errstate(invalid="ignore"):
+            stem = forward_stem(net, [X[i : i + B] for i in range(0, len(X), B)])
+        assert forward_features_batch(net, X, stem).tobytes() == feats.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_run_stream_matches_plain_steps_for_every_kind(self, monkeypatch, seed):
@@ -543,6 +564,9 @@ class TestLookAhead:
             return scores
 
         monkeypatch.setattr(AdaptEngine, "_serve", observed)
+        from_stem = []  # per forward on the engine's path: whether it started from a stem
+        for name in ("forward_with_caches", "forward_features_batch"):
+            monkeypatch.setattr(seva.adapt, name, spy_stem_use(getattr(seva.adapt, name), from_stem))
 
         def engine(name, method):
             e = AdaptEngine(copy.deepcopy(built[1]), method, seed=derive_seed(cfg.master_seed, "engine", seed, name))
@@ -554,8 +578,12 @@ class TestLookAhead:
         served_and_updated = {}
         for name, method in cfg.methods():
             ahead, plain = engine(name, method), engine(name, method)
+            from_stem.clear()
             trace = run_stream(ahead, stream)
+            assert any(from_stem)  # every kind runs forwards from stems
+            from_stem.clear()
             reports = [plain.adapt_step(b.inputs) for b in stream]
+            assert from_stem and not any(from_stem)
             assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in reports]
             assert ahead.counters == plain.counters
             assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
@@ -607,3 +635,166 @@ class TestLookAhead:
         # the benchmark wraps it in a pass-through shaped record(report, engine, inputs)
         signature = inspect.signature(AdaptEngine.adapt_step)
         assert str(signature.replace(return_annotation=inspect.Signature.empty)) == "(self, inputs)"
+
+
+def spy_stem_use(forward, from_stem):
+    """``forward`` (net, X[, stem]), noting in ``from_stem`` whether each call
+    was handed a stem."""
+
+    def spied(net, X, *stem):
+        from_stem.append(bool(stem) and stem[0] is not None)
+        return forward(net, X, *stem)
+
+    return spied
+
+
+def stream_of(sizes, seed=20, d_in=6):
+    rng = np.random.default_rng(seed)
+    return [Batch(rng.standard_normal((n, d_in)), np.zeros(n, dtype=int)) for n in sizes]
+
+
+class TestStemWindow:
+    """Forwards on the batches of a stem window start from first-layer stems
+    computed once per window, with the bits of forwards from the inputs."""
+
+    @pytest.fixture
+    def stem_rows(self, monkeypatch):
+        """Rows of every forward_stem call on the engine's path."""
+        rows = []
+        stem = seva.adapt.forward_stem
+
+        def counted(net, batches):
+            rows.append(sum(map(len, batches)))
+            return stem(net, batches)
+
+        monkeypatch.setattr(seva.adapt, "forward_stem", counted)
+        return rows
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["tent", "entropy_select", "no_adapt"])
+    def test_run_stream_matches_plain_steps_at_any_depth(self, monkeypatch, stem_rows, n_layers, kind):
+        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", 64)  # windows of 8 batches
+        net = build_network(seed=21, d_in=6, d=6, C=4, n_layers=n_layers, groups=2)
+        stream = stream_of([8] * 30)
+        method = MethodConfig(kind=kind, threshold_rho=0.9, lr=0.05)
+        ahead, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
+        trace = run_stream(ahead, stream)
+        reports = [plain.adapt_step(b.inputs) for b in stream]
+        assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in reports]
+        assert ahead.counters == plain.counters
+        assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
+        if n_layers == 0:
+            assert stem_rows == []  # no stem, no window
+        elif kind == "tent":
+            assert stem_rows == [64, 64, 64, 48]  # every window, once
+        else:
+            assert 0 < sum(stem_rows) <= 240
+
+    def test_a_window_spans_updates_and_keeps_its_stems(self, stem_rows):
+        net, stream = small_setup(seed=19)
+        method = MethodConfig(kind="tent", lr=0.05)
+        engine, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
+        engine._open_window([b.inputs for b in stream])
+        engine._look_ahead([b.inputs for b in stream[:4]])
+        got = []
+        for i, batch in enumerate(stream):
+            got.append(engine.adapt_step(batch.inputs))
+            assert got[-1].updated
+            assert not engine._ahead and not engine._scored  # look-ahead scores are dropped
+            assert len(engine._stems) == len(engine._window) == len(stream) - 1 - i  # stems are not
+        assert stem_rows == [48]  # computed once, by the first step, for the whole window
+        want = [plain.adapt_step(b.inputs) for b in stream]
+        assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
+        assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
+
+    def test_served_steps_compute_stems_only_when_they_select(self, stem_rows):
+        net, stream = small_setup(seed=27)
+        method = MethodConfig(kind="entropy_select", lr=0.05)
+        engine, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
+        engine._look_ahead([b.inputs for b in stream[:4]])
+        engine.threshold = 0.0  # selects nothing
+        reports = [engine.adapt_step(stream[0].inputs)]  # scores the block before any window
+        engine._open_window([b.inputs for b in stream[1:]])
+        reports.append(engine.adapt_step(stream[1].inputs))  # served, selects nothing: no forward
+        assert stem_rows == []
+        engine.threshold = math.inf  # selects everything
+        reports.append(engine.adapt_step(stream[2].inputs))  # served, selects: its forward computes the window
+        assert stem_rows == [32] and reports[-1].updated
+        want = []
+        for threshold, batch in zip((0.0, 0.0, math.inf), stream):
+            plain.threshold = threshold
+            want.append(plain.adapt_step(batch.inputs))
+        assert [report_bytes(r) for r in reports] == [report_bytes(r) for r in want]
+        assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
+
+    def test_other_input_drops_the_window(self, stem_rows):
+        net, stream = small_setup(seed=22)
+        method = MethodConfig(kind="tent", lr=0.05)
+        engine, fresh = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
+        engine._open_window([b.inputs for b in stream[:4]])
+        inputs = [stream[0].inputs, stream[1].inputs.copy(), stream[2].inputs]  # equal, not the same object
+        got = [engine.adapt_step(x) for x in inputs[:2]]
+        assert not engine._window and not engine._stems  # dropped by the copy
+        got.append(engine.adapt_step(inputs[2]))
+        assert stem_rows == [32]
+        want = [fresh.adapt_step(x) for x in inputs]
+        assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
+        assert engine.counters == fresh.counters
+
+    @pytest.mark.parametrize("bad", [np.zeros((8, 5)), np.zeros(6), np.zeros((0, 6))], ids=["width", "1d", "empty"])
+    def test_a_malformed_batch_in_a_window_fails_at_its_own_step(self, stem_rows, bad):
+        net, stream = small_setup(seed=23)
+        stream = stream + [Batch(bad, np.zeros(len(bad), dtype=int))] + stream
+        engine = AdaptEngine(net, MethodConfig(kind="tent", lr=0.05))
+        with pytest.raises(DimensionMismatch if bad.size else ValueError, match=r"\(8, 5\)|\(6,\)|empty batch"):
+            run_stream(engine, stream)
+        assert engine.counters.n_forward == 6 * 8
+        # the window ends before a batch that is not an (n, d_in) array
+        assert stem_rows == ([96] if bad.ndim == 2 and bad.shape[1] == 6 else [48])
+
+    def test_held_stem_rows_never_exceed_the_window(self, monkeypatch, stem_rows):
+        window_rows = 50
+        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", window_rows)
+        held = []
+        step = AdaptEngine.adapt_step
+
+        def checked(engine, inputs):
+            held.append(sum(len(normalized) for normalized, _ in engine._stems))
+            assert sum(map(len, engine._window)) <= window_rows
+            return step(engine, inputs)
+
+        monkeypatch.setattr(AdaptEngine, "adapt_step", checked)
+        net, _ = small_setup(seed=24)
+        # a 60-row batch fits no window; a 1-row batch's linear map takes
+        # another BLAS kernel, so its stem must come from its own rows
+        stream = stream_of([5, 13, 40, 1, 60, 7, 7, 30] * 4)
+        method = MethodConfig(kind="tent", lr=0.05)
+        trace = run_stream(AdaptEngine(copy.deepcopy(net), method), stream)
+        assert 0 < max(held) <= window_rows
+        assert max(stem_rows) <= window_rows
+        plain = AdaptEngine(copy.deepcopy(net), method)
+        assert [report_bytes(r) for r in trace.steps] == [report_bytes(step(plain, b.inputs)) for b in stream]
+
+    def test_the_committed_window_holds_64_batches_of_32(self, stem_rows):
+        assert STEM_WINDOW_ROWS == 2048
+        net = build_network(seed=25, d_in=16, d=16, C=10, n_layers=2, groups=4)
+        run_stream(AdaptEngine(net, MethodConfig(kind="tent", lr=0.01)), stream_of([32] * 100, d_in=16))
+        assert stem_rows == [256] * 8 + [256] * 4 + [128]  # 64 batches, then the other 36
+
+    def test_stem_work_is_charged_to_the_step_that_does_it(self, monkeypatch):
+        # a fake clock that only stem work advances
+        clock = [0.0]
+        monkeypatch.setattr(seva.adapt, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", 64)
+        stem = seva.adapt.forward_stem
+
+        def slow(net, batches):
+            clock[0] += 1.0
+            return stem(net, batches)
+
+        monkeypatch.setattr(seva.adapt, "forward_stem", slow)
+        net, _ = small_setup(seed=26)
+        trace = run_stream(AdaptEngine(net, MethodConfig(kind="tent", lr=0.05)), stream_of([8] * 20))
+        walls = [r.step_wall_time for r in trace.steps]
+        assert walls == [1.0 if i in (0, 8, 16) else 0.0 for i in range(20)]
+        assert trace.wall_time == sum(walls) == clock[0]

@@ -15,6 +15,7 @@ from seva.model import (
     build_network,
     calibrate_covariance,
     forward_features_batch,
+    forward_stem,
     forward_with_caches,
     set_adaptable_params,
 )
@@ -412,6 +413,41 @@ class TestGroupNormKernel:
                 assert np.isfinite(cache.normalized[others]).all()
         else:
             assert np.isfinite(feats).all() and np.isfinite(grads).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(group_norm_case(), st.sampled_from([1, 2, 3, 7, 20]))
+    def test_forward_from_the_stem_matches_the_full_forward(self, case, cut):
+        # each batch's rows of a run's stem are its own first-layer group
+        # norm, also for a 1-row batch, whose linear map BLAS rounds apart
+        net, X, _, _, _ = case
+        batches = [X[:cut], X[cut:]] if cut < len(X) else [X]
+        with np.errstate(invalid="ignore"):
+            normalized, inv_std = forward_stem(net, batches)
+            start = 0
+            for batch in batches:
+                rows = slice(start, start + len(batch))
+                start = rows.stop
+                stem = (normalized[rows], inv_std[rows])
+                feats, caches = forward_with_caches(net, batch)
+                got, got_caches = forward_with_caches(net, batch, stem)
+                assert same_bits(stem[0], caches[0].normalized) and same_bits(stem[1], caches[0].inv_std)
+                assert same_bits(got, feats) and same_bits(forward_features_batch(net, batch, stem), feats)
+                for cache, ref in zip(got_caches, caches):
+                    for name in ("normalized", "inv_std", "output"):
+                        assert same_bits(getattr(cache, name), getattr(ref, name)), name
+
+    def test_a_stem_must_fit_its_batch(self):
+        net = build_network(seed=7, d_in=6, d=6, C=3, n_layers=2, groups=2)
+        X = np.random.default_rng(9).standard_normal((5, 6))
+        stem = forward_stem(net, [X])
+        for forward in (forward_with_caches, forward_features_batch):
+            with pytest.raises(DimensionMismatch, match="stem"):
+                forward(net, X[:4], stem)
+        identity = build_network(seed=7, d_in=6, d=6, C=3, n_layers=0, groups=2)
+        with pytest.raises(ValueError, match="no stem"):
+            forward_stem(identity, [X])
+        with pytest.raises(DimensionMismatch, match="stem"):
+            forward_with_caches(identity, X, stem)
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_backward_covers_every_layer_at_any_depth(self, n_layers):

@@ -105,6 +105,34 @@ def test_cells_on_a_shared_build_match_cells_on_their_own(tmp_path):
     np.testing.assert_array_equal(adaptable_params(built[1]), params_before)
 
 
+@pytest.mark.parametrize("n", [2, 16, 17, 40, 96, 500])
+def test_calibration_concatenates_only_the_batches_holding_its_rows(monkeypatch, n):
+    cfg = resolve_config(dict(GRID, calibration_samples=n))
+    built = build_world_and_model(cfg)
+    stream = build_stream(cfg, built[0], 0)
+    concatenated, calibrated = [], []
+
+    class Numpy:  # numpy as run_cell sees it, noting the rows it concatenates
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def concatenate(self, arrays):
+            concatenated.append(sum(map(len, arrays)))
+            return np.concatenate(arrays)
+
+    calibrate = AdaptEngine.calibrate
+    monkeypatch.setattr(AdaptEngine, "calibrate", lambda e, inputs: calibrated.append(inputs) or calibrate(e, inputs))
+    monkeypatch.setattr(runner, "np", Numpy())
+    seva = next(method for _, method in cfg.methods() if method.kind == "seva")
+    result = run_cell(cfg, built, stream, "seva", seva, 0)
+    every_row = np.concatenate([b.inputs for b in stream])
+    rows = every_row[:n]
+    B = cfg.tree["stream"]["batch_size"]
+    assert concatenated == [min(-(-n // B) * B, len(every_row))]  # whole leading batches only
+    assert len(calibrated) == 1 and calibrated[0].tobytes() == rows.tobytes()
+    assert result.counters["n_calibration_forward"] == len(rows)
+
+
 def cell_major(names, seeds):
     return [(name, seed) for name in names for seed in seeds]
 
