@@ -5,10 +5,12 @@
 # peak of one value+pullback call. The loss never forms an (n, C, C) or
 # (C, C, d) array, so C=1000, d=512 runs in a few MB.
 #
-# A second table times the Monte-Carlo oracle's mc_entropy at n=100 000
-# draws for (C, d) in {(10, 16), (100, 64)}: mean wall time of 2 calls
-# and the tracemalloc peak of one call. It samples in fixed-size chunks,
-# so its peak does not grow with the full (n, C) logit array.
+# A second table times the Monte-Carlo oracle's two estimators,
+# mc_entropy and mc_robust_probs_estimate, at n=100 000 draws for (C, d)
+# in {(10, 16), (100, 64)}: median wall time of 2 calls and the
+# tracemalloc peak of one call, each. Both reduce the same class-major
+# (C, m) logit blocks of at most MC_CHUNK_ROWS draws in one pass, so
+# neither peak grows with the full (n, C) logit array.
 #
 # A third table times the engine phases that every adaptation step runs:
 # forward_with_caches and backward_adaptable (the group-norm forward and
@@ -31,7 +33,7 @@ import numpy as np  # noqa: E402
 
 from seva.core_math import AugmentedEntropyLoss, ClassifierHead, DiagCovariance  # noqa: E402
 from seva.model import backward_adaptable, build_network, forward_stem, forward_with_caches  # noqa: E402
-from seva.oracle import mc_entropy  # noqa: E402
+from seva.oracle import mc_entropy, mc_robust_probs_estimate  # noqa: E402
 
 SHAPES = ((10, 16), (100, 64), (300, 64), (1000, 512))  # (C, d)
 N_FEATURES = 64
@@ -82,8 +84,11 @@ def mc_sweep(shapes=MC_SHAPES, n=MC_DRAWS, reps=2):
     for C, d in shapes:
         rng, head, sigma = _instance(C, d)
         z = rng.standard_normal(d)
-        call = lambda: mc_entropy(head, z, sigma, n, np.random.default_rng(0))  # noqa: E731
-        rows.append({"C": C, "d": d, "n": n, "call_ms": _median_ms(call, reps), "peak_mb": _peak_mb(call)})
+        row = {"C": C, "d": d, "n": n}
+        for key, estimator in (("entropy", mc_entropy), ("robust", mc_robust_probs_estimate)):
+            call = lambda: estimator(head, z, sigma, n, np.random.default_rng(0))  # noqa: E731
+            row[f"{key}_ms"], row[f"{key}_peak_mb"] = _median_ms(call, reps), _peak_mb(call)
+        rows.append(row)
     return rows
 
 
@@ -111,9 +116,11 @@ if __name__ == "__main__":
     print(f"{'C':>5} {'d':>4} {'n':>3} {'build ms':>9} {'value+pullback ms':>18} {'peak MB':>8}")
     for r in sweep():
         print(f"{r['C']:5d} {r['d']:4d} {r['n']:3d} {r['build_ms']:9.2f} {r['call_ms']:18.3f} {r['peak_mb']:8.2f}")
-    print(f"\n{'C':>5} {'d':>4} {'n':>7} {'mc_entropy ms':>14} {'peak MB':>8}")
+    print(f"\n{'C':>5} {'d':>4} {'n':>7} {'mc_entropy ms':>14} {'peak MB':>8} "
+          f"{'mc_robust_probs_estimate ms':>28} {'peak MB':>8}")
     for r in mc_sweep():
-        print(f"{r['C']:5d} {r['d']:4d} {r['n']:7d} {r['call_ms']:14.1f} {r['peak_mb']:8.2f}")
+        print(f"{r['C']:5d} {r['d']:4d} {r['n']:7d} {r['entropy_ms']:14.1f} {r['entropy_peak_mb']:8.2f} "
+              f"{r['robust_ms']:28.1f} {r['robust_peak_mb']:8.2f}")
     print(f"\n{'shape':>9} {'B':>3} {'d':>3} {'groups':>6} {'forward us':>11} {'from stem us':>13} "
           f"{'backward us':>12}")
     for r in engine_sweep():

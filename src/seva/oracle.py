@@ -12,8 +12,12 @@ so its logits are
 
     A (z + diag(sqrt(sigma^2)) eps) + b = (A diag(sqrt(sigma^2))) eps + (A z + b),
 
-with the noise scale folded into the head once per call
-(``vicinal_logits``). This is still explicit feature sampling: every draw
+with the noise scale folded into the head once per call, in one place
+(``_logit_blocks``). It hands out the logits as class-major (C, m) blocks
+of at most ``MC_CHUNK_ROWS`` draws, which ``mc_entropy`` and
+``mc_robust_probs_estimate`` each reduce in one pass with a working set
+of a few blocks, and which ``vicinal_logits`` returns transposed as one
+(n, C) array. This is still explicit feature sampling: every draw
 is a d-dimensional standard normal, consumed from the generator in the
 same order and number as ``vicinal_batch`` takes them, so a seed gives the
 same draws as the (n, d) feature sample would. Nothing here uses
@@ -40,6 +44,8 @@ from .core_math import (
     ClassifierHead,
     DiagCovariance,
     DimensionMismatch,
+    _check_feature,
+    _check_sigma,
     augmented_entropy,
 )
 from .rng import substream
@@ -65,9 +71,9 @@ BOUND_ATOL = 1e-9
 
 FULL_MC_SAMPLES = 100_000
 
-# Draws per chunk of mc_entropy: its working set is a few (MC_CHUNK_ROWS, C)
+# Draws per logit block: the estimators' working set is a few (C, MC_CHUNK_ROWS)
 # and (MC_CHUNK_ROWS, d) arrays whatever n is. 2048 to 16384 rows all ran
-# within noise of one another; 8192 was fastest.
+# within noise of one another.
 MC_CHUNK_ROWS = 8192
 
 
@@ -95,17 +101,36 @@ class BoundGapReport:
     satisfied: bool
 
 
-def _feature(z, sigma: DiagCovariance) -> np.ndarray:
+def vicinal_batch(z, sigma: DiagCovariance, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, d) matrix of independent draws from N(z, Sigma)."""
     z = np.asarray(z, dtype=np.float64)
     if sigma.dim != z.shape[-1]:
         raise DimensionMismatch(f"covariance has dim {sigma.dim}, feature has dim {z.shape[-1]}")
-    return z
-
-
-def vicinal_batch(z, sigma: DiagCovariance, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, d) matrix of independent draws from N(z, Sigma)."""
-    z = _feature(z, sigma)
     return z[None, :] + rng.standard_normal((n, z.shape[0])) * np.sqrt(sigma.variances)[None, :]
+
+
+def _logit_blocks(head: ClassifierHead, z, sigma: DiagCovariance, rng: np.random.Generator, n: int):
+    """Class-major (C, m) head logits of n draws from N(z, Sigma), m <= MC_CHUNK_ROWS.
+
+    Block k is ``scaled @ eps_k.T + shift`` with ``scaled = A diag(sqrt(sigma^2))``
+    and ``shift = A z + b`` folded once, and ``eps_k`` the next (m, d)
+    standard normals: the blocks take the same normals, in the same order
+    and number, as one (n, d) draw. The inputs are checked before the first
+    block is drawn. Every block is written into the same buffer, so a block
+    is overwritten by the next one.
+    """
+    z = _check_feature(head, z)
+    _check_sigma(head, sigma)
+    if not np.isfinite(z).all():
+        raise ValueError("feature must be finite")
+    scaled = head.weights * np.sqrt(sigma.variances)[None, :]
+    shift = (head.weights @ z + head.biases)[:, None]
+    block = np.empty((head.n_classes, min(n, MC_CHUNK_ROWS)))
+    for start in range(0, n, MC_CHUNK_ROWS):
+        m = min(MC_CHUNK_ROWS, n - start)
+        L = np.matmul(scaled, rng.standard_normal((m, z.shape[0])).T, out=block[:, :m])
+        L += shift
+        yield L
 
 
 def vicinal_logits(
@@ -119,22 +144,29 @@ def vicinal_logits(
 
     Equals ``vicinal_batch(z, sigma, rng, n) @ A.T + b`` up to rounding and
     takes the same n*d standard normals from ``rng``, but folds the noise
-    scale into the head, so the (n, d) feature sample is never formed.
+    scale into the head, so the (n, d) feature sample is never formed. It is
+    the transpose of the estimators' class-major logit blocks.
     """
-    z = _feature(z, sigma)
-    scaled = head.weights * np.sqrt(sigma.variances)[None, :]
-    L = rng.standard_normal((n, z.shape[0])) @ scaled.T
-    L += head.weights @ z + head.biases
-    return L
+    out = np.empty((head.n_classes, n))
+    start = 0
+    for L in _logit_blocks(head, z, sigma, rng, n):
+        out[:, start:start + L.shape[1]] = L
+        start += L.shape[1]
+    return out.T
 
 
-def _entropy_rows(L: np.ndarray) -> np.ndarray:
-    """Per-row softmax entropy of a logit block, overwriting the block."""
-    L -= L.max(axis=1, keepdims=True)
+def _check_samples(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2 samples, got {n}")
+
+
+def _entropy_cols(L: np.ndarray) -> np.ndarray:
+    """Per-column softmax entropy of a class-major logit block, overwriting the block."""
+    L -= L.max(axis=0)
     e = np.exp(L)
-    s = e.sum(axis=1)
+    s = e.sum(axis=0)
     e *= L
-    return np.log(s) - e.sum(axis=1) / s
+    return np.log(s) - e.sum(axis=0) / s
 
 
 def mc_entropy(
@@ -146,21 +178,22 @@ def mc_entropy(
 ) -> McEstimate:
     """Sample mean of the per-draw prediction entropy over n vicinal draws.
 
-    The draws are taken MC_CHUNK_ROWS at a time through ``vicinal_logits``;
-    successive chunks consume the generator exactly as one (n, d) draw
-    would, so the estimate does not depend on the chunk size beyond
-    rounding. Per chunk, with L' = L - rowmax(L), e = exp(L') and
-    s = sum(e), the entropy of a draw is log(s) - sum(e * L') / s: both
-    terms are >= 0, so nothing cancels. The chunks fill one length-n
-    entropy vector, whose mean and standard deviation are one reduction
-    each.
+    The draws come as class-major logit blocks of at most MC_CHUNK_ROWS
+    columns, which consume the generator exactly as one (n, d) draw would,
+    so the estimate does not depend on the chunk size beyond rounding. Per
+    block, with L' = L - colmax(L), e = exp(L') and s = sum(e) over the
+    classes, the entropy of a draw is log(s) - sum(e * L') / s: both terms
+    are >= 0, so nothing cancels, and each reduction over the C classes is
+    C elementwise passes over contiguous rows of length m. The blocks fill
+    one length-n entropy vector, whose mean and standard deviation are one
+    reduction each.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
+    _check_samples(n)
     ent = np.empty(n)
-    for start in range(0, n, MC_CHUNK_ROWS):
-        stop = min(start + MC_CHUNK_ROWS, n)
-        ent[start:stop] = _entropy_rows(vicinal_logits(head, z, sigma, rng, stop - start))
+    start = 0
+    for L in _logit_blocks(head, z, sigma, rng, n):
+        ent[start:start + L.shape[1]] = _entropy_cols(L)
+        start += L.shape[1]
     return McEstimate(float(ent.mean()), float(ent.std(ddof=1) / np.sqrt(n)), n)
 
 
@@ -171,22 +204,56 @@ def mc_robust_probs_estimate(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, stderr) for the ratio-of-means estimator.
+    """(probs, stderr) for the ratio-of-means estimator, in one pass over the blocks.
 
-    One max over all sampled logits is subtracted before exponentiation
-    (the shift cancels in the ratio), and the per-coordinate standard
-    errors come from the delta-method linearization of the ratio.
+    With U = exp(L - M) per draw (M a running logit max; the shift cancels
+    in the ratio) and s = sum(U) over the classes, probs = sum(U) / sum(s)
+    over the draws. The per-coordinate standard errors come from the
+    delta-method residuals (U - probs * s) / mean(s). Their sum of squares
+    is kept about the running ratio p of the draws so far, as in a
+    streaming variance: with a = U - p * s, each block first moves the sums
+    so far to its new ratio p' = p + delta,
+
+        sum (a - delta s)^2 = sum a^2 - 2 delta sum a s + delta^2 sum s^2,
+        sum (a - delta s) s = sum a s - delta sum s^2,
+
+    then adds its own draws about p'. delta shrinks as the draws add up, so
+    nothing cancels catastrophically, and after the last block the sums are
+    about probs itself. When a block raises M, the sums so far are rescaled
+    by exp(old M - new M) (squared for the second moments). The working set
+    is a few blocks whatever n is.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
-    L = vicinal_logits(head, z, sigma, rng, n)
-    U = np.exp(L - L.max())
-    num = U.mean(axis=0)
-    den = num.sum()
-    probs = num / den
-    resid = (U - U.sum(axis=1, keepdims=True) * probs[None, :]) / den
-    stderr = resid.std(axis=0, ddof=1) / np.sqrt(n)
-    return probs, stderr
+    _check_samples(n)
+    C = head.n_classes
+    top = -np.inf
+    ratio = np.zeros(C)
+    sum_u, sum_s = np.zeros(C), 0.0
+    sum_aa, sum_as, sum_ss = np.zeros(C), np.zeros(C), 0.0
+    for L in _logit_blocks(head, z, sigma, rng, n):
+        block_top = L.max()
+        if block_top > top:
+            r = np.exp(top - block_top)
+            sum_u *= r
+            sum_s *= r
+            sum_aa *= r * r
+            sum_as *= r * r
+            sum_ss *= r * r
+            top = block_top
+        L -= top
+        U = np.exp(L, out=L)
+        s = U.sum(axis=0)
+        sum_u += U.sum(axis=1)
+        sum_s += s.sum()
+        delta = sum_u / sum_s - ratio
+        ratio += delta
+        sum_aa += delta * (delta * sum_ss - 2.0 * sum_as)
+        sum_as -= delta * sum_ss
+        U -= ratio[:, None] * s
+        sum_aa += np.einsum("ij,ij->i", U, U)
+        sum_as += U @ s
+        sum_ss += s @ s
+    den = sum_s / n
+    return ratio, np.sqrt(np.maximum(sum_aa, 0.0) / (n - 1)) / den / np.sqrt(n)
 
 
 def bound_gap_report(

@@ -10,6 +10,7 @@ from seva.core_math import (
     ClassifierHead,
     DiagCovariance,
     DimensionMismatch,
+    EntropyLoss,
     augmented_entropy,
     entropy,
     logits,
@@ -90,6 +91,55 @@ class TestMcEntropy:
         b = mc_entropy(h3, z, sigma_half, 5000, substream(9, "r"))
         assert a == b
 
+    def test_central_difference_on_common_draws_is_the_mean_draw_gradient(self):
+        # With the draws held fixed (the same substream on both sides), the
+        # sample mean entropy is a smooth function of z whose gradient is
+        # the mean over those draws of the per-draw entropy gradient.
+        rng = np.random.default_rng(38)
+        head = random_head(rng, C=6, d=4)
+        z, sigma = rng.standard_normal(4), random_sigma(rng, 4)
+        n, h = 4096, 1e-5
+        Z = vicinal_batch(z, sigma, substream(39, "crn"), n)
+        _, pullback, _ = EntropyLoss(head).value_and_pullback(Z)
+        expected = pullback().mean(axis=0)
+        fd = np.empty(4)
+        for k in range(4):
+            step = np.zeros(4)
+            step[k] = h
+            up = mc_entropy(head, z + step, sigma, n, substream(39, "crn")).mean
+            down = mc_entropy(head, z - step, sigma, n, substream(39, "crn")).mean
+            fd[k] = (up - down) / (2 * h)
+        np.testing.assert_allclose(fd, expected, rtol=0, atol=1e-8)
+        assert np.abs(expected).max() > 1e-3
+
+
+class TestOracleInputChecks:
+    """Both estimators check head, feature and covariance the way core_math does."""
+
+    ESTIMATORS = [mc_entropy, mc_robust_probs_estimate]
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_head_dimension_differs_from_feature_and_covariance(self, estimator):
+        head = ClassifierHead(np.eye(3), np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="feature has dim 2, head expects dim 3"):
+            estimator(head, np.zeros(2), DiagCovariance(np.ones(2)), 100, substream(0))
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_covariance_dimension_differs_from_head(self, estimator, h3):
+        with pytest.raises(DimensionMismatch, match="covariance has dim 3, head expects dim 2"):
+            estimator(h3, np.zeros(2), DiagCovariance(np.ones(3)), 100, substream(0))
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_raises(self, estimator, h3, sigma_half, bad):
+        with pytest.raises(ValueError, match="feature must be finite"):
+            estimator(h3, np.array([1.0, bad]), sigma_half, 100, substream(0))
+
+    def test_bound_gap_report_rejects_non_finite_feature(self, h3, sigma_half):
+        # reported as an error, not as a bound violation
+        with pytest.raises(ValueError, match="feature must be finite"):
+            bound_gap_report(h3, [np.nan, 0.0], sigma_half, 100, substream(0))
+
 
 def _explicit_mc_entropy(head, z, sigma, n, rng):
     """mean, stderr of the entropy over the explicit (n, d) feature sample."""
@@ -132,6 +182,31 @@ class TestFoldedChunkedSampling:
         expected = vicinal_batch(z, sigma, ref_gen, 1000) @ head.weights.T + head.biases
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_vicinal_logits_over_several_blocks_match_explicit_features(self, instance):
+        head, z, sigma = instance
+        n = 2 * MC_CHUNK_ROWS + 3
+        gen = substream(33, "blocks")
+        ref_gen = copy.deepcopy(gen)
+        got = vicinal_logits(head, z, sigma, gen, n)
+        expected = vicinal_batch(z, sigma, ref_gen, n) @ head.weights.T + head.biases
+        assert got.shape == (n, head.n_classes)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_each_draw_is_shifted_by_its_own_max(self):
+        # Logits spread over thousands of nats across draws: a shift shared
+        # by the draws of a block would underflow every exponential of most
+        # of them.
+        head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
+        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), MC_CHUNK_ROWS + 1
+        gen = substream(37, "spread")
+        ref_gen = copy.deepcopy(gen)
+        est = mc_entropy(head, z, sigma, n, gen)
+        mean, stderr = _explicit_mc_entropy(head, z, sigma, n, ref_gen)
+        assert np.isfinite(est.mean) and np.isfinite(est.stderr)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_vicinal_logits_dimension_check(self, instance):
         head, z, _ = instance
@@ -194,6 +269,96 @@ class TestMcRobustProbs:
             )
             closed = robust_probs(head, z, sigma)
             assert (np.abs(probs - closed) <= 3 * stderr + 1e-12).all()
+
+
+def _whole_array_robust_probs(head, z, sigma, n, rng):
+    """(probs, stderr) of the ratio-of-means estimator over all n logits at once."""
+    L = vicinal_logits(head, z, sigma, rng, n)
+    U = np.exp(L - L.max())
+    num = U.mean(axis=0)
+    den = num.sum()
+    probs = num / den
+    resid = (U - U.sum(axis=1, keepdims=True) * probs[None, :]) / den
+    return probs, resid.std(axis=0, ddof=1) / np.sqrt(n)
+
+
+class TestChunkedRobustProbs:
+    """The one-pass block estimator against the whole-array formula."""
+
+    @pytest.fixture
+    def instance(self):
+        rng = np.random.default_rng(40)
+        head = random_head(rng, C=7, d=5)
+        return head, rng.standard_normal(5), random_sigma(rng, 5)
+
+    @pytest.mark.parametrize("n", [
+        2, MC_CHUNK_ROWS - 1, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1, 2 * MC_CHUNK_ROWS + 3,
+    ])
+    def test_matches_whole_array_formula(self, instance, n):
+        head, z, sigma = instance
+        gen = substream(41, "robust", n)
+        ref_gen = copy.deepcopy(gen)
+        probs, stderr = mc_robust_probs_estimate(head, z, sigma, n, gen)
+        ref_probs, ref_stderr = _whole_array_robust_probs(head, z, sigma, n, ref_gen)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
+        np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_later_block_raising_the_max_past_exp_range(self):
+        # The second block's largest logit exceeds the first block's by more
+        # than 709 nats, so exp(first max - second max) underflows to 0 and
+        # an estimator that kept the first block's shift would overflow.
+        head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
+        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), 2 * MC_CHUNK_ROWS + 3
+        L = vicinal_logits(head, z, sigma, substream(37, "shift", 10), n)
+        assert L[MC_CHUNK_ROWS:].max() - L[:MC_CHUNK_ROWS].max() > 709
+        probs, stderr = mc_robust_probs_estimate(head, z, sigma, n, substream(37, "shift", 10))
+        ref_probs, ref_stderr = _whole_array_robust_probs(head, z, sigma, n, substream(37, "shift", 10))
+        assert np.isfinite(probs).all() and np.isfinite(stderr).all()
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
+
+    def test_tiny_coordinate_keeps_its_stderr_across_a_raised_max(self):
+        # A later block raises the max by ~137 nats and one class's ratio is
+        # ~1e-69; its stderr (~2e-69) survives because the second moments are
+        # kept about the running ratio, not about a stale first-block one.
+        rng = np.random.default_rng(0)
+        head = ClassifierHead(rng.standard_normal((3, 2)), np.zeros(3))
+        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), 3 * MC_CHUNK_ROWS
+        probs, stderr = mc_robust_probs_estimate(head, z, sigma, n, substream(0, "shift"))
+        ref_probs, ref_stderr = _whole_array_robust_probs(head, z, sigma, n, substream(0, "shift"))
+        assert 1e-75 < probs[1] < 1e-60
+        assert stderr[1] == pytest.approx(ref_stderr[1], rel=1e-12)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("C", [1, 3])
+    def test_zero_sigma_stderr_is_finite_zero(self, C):
+        head = ClassifierHead(np.arange(2.0 * C).reshape(C, 2), np.zeros(C))
+        for n in (2, MC_CHUNK_ROWS + 1):
+            probs, stderr = mc_robust_probs_estimate(head, [1.0, 2.0], DiagCovariance.zeros(2), n, substream(0))
+            assert np.isfinite(stderr).all()
+            np.testing.assert_allclose(stderr, 0.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(probs, softmax(logits(head, [1.0, 2.0])), rtol=0, atol=1e-14)
+
+    def test_working_set_does_not_grow_with_n(self):
+        # C=10, d=16 as in the certification sweep: a few (C, MC_CHUNK_ROWS)
+        # and (MC_CHUNK_ROWS, d) blocks and nothing of length n. The
+        # whole-array reference above holds about 30 MiB at n=100 000.
+        rng = np.random.default_rng(42)
+        head = random_head(rng, C=10, d=16)
+        z, sigma = rng.standard_normal(16), random_sigma(rng, 16)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mc_robust_probs_estimate(head, z, sigma, n, substream(43, "peak"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(400_000)
+        assert small <= 4 * 2**20
+        assert large - small < 64 * 2**10
 
 
 class TestBoundGapReport:
