@@ -25,37 +25,33 @@ samples. Selection is strict: a sample trains only if its loss is
 evaluator that compares the engine's pre-update predictions against the
 hidden labels.
 
-While the parameters stay fixed, ``run_stream`` lets the engine score the
-coming batches as one block. Group norm is per sample, so a sample's
-feature, loss and prediction do not depend on the rows scored beside it.
-After m steps in a row without an update the engine is handed the next
-2^m batches (capped at the rest of the stream); the ``adapt_step`` call
-of the first of them scores the whole block, and each later call whose
-input is the next block batch (the same object) is served from it. An
-update, or any other input, drops the rest of the block. A served batch
-that selects samples runs its forward pass and loss again, at the same
-parameters and with the same bits, for the caches its update needs.
-``Counters.n_forward`` counts each scored sample once, at the step that
-reports it; block rows that an update drops are not counted.
-
-Only the group-norm affine adapts, so each batch's first-layer "stem"
-(``model.forward_stem``) depends on its input alone. ``run_stream`` also
-hands the engine a window of coming batches, up to ``STEM_WINDOW_ROWS``
-rows. The first ``adapt_step`` in the window that runs a forward pass
-(scoring its batch or a look-ahead block, or recomputing a served batch
-that selects samples) computes the stems of every batch left in the
-window, and every later forward on a window batch starts from its stem,
-with the same bits. Stems survive updates; a step whose input is not the
-next window batch (the same object) drops the window.
+``run_stream`` first hands the engine the inputs of its whole stream, with
+``replay(inputs)``; ``adapt_step(inputs)`` alone is the causal API. A step
+is on the plan iff its input is the plan's next batch (the same object);
+any other input ends the plan. On the plan the engine reuses two kinds of
+work, with the same bits. Group norm is per sample, so a sample's feature,
+loss and prediction do not depend on the rows scored beside it: after m
+steps in a row without an update, an on-plan step with no score scores the
+next 2^m plan batches as one block (capped at the plan's end; a single
+batch is no block), and later steps are served from it until an update or
+``calibrate`` drops the scores. A served batch that selects samples runs
+its forward pass and loss again, at the same parameters, for the caches
+its update needs. Only the group-norm affine adapts, so each batch's
+first-layer "stem" (``model.forward_stem``) depends on its input alone: a
+forward on a plan batch with no stem computes the stems of it and the
+batches after it, up to ``STEM_WINDOW_ROWS`` rows, and each stem is held,
+across updates, until its step passes. The step that does the work is
+charged for it. ``Counters.n_forward`` counts each scored sample once, at
+the step that reports it; block rows that an update drops are not counted.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, takewhile
+from itertools import takewhile
 from typing import Callable
 
 import numpy as np
@@ -93,12 +89,12 @@ __all__ = [
 # temporaries, which an unchunked 89-batch block grows by megabytes.
 BLOCK_CHUNK_ROWS = 256
 
-# A stem window holds the coming batches up to this many rows. The step
-# that computes the window's stems pays for all of them, so the window is
-# long enough to make such steps rare: at B=32 it is 64 batches, about 2
-# window-start steps per 100-step stream, which stay out of the 95th
-# percentile of step times (256-row windows put one in every 8 steps, and
-# in every method's tail). At d=16 its stems hold about 330 KB.
+# A step that needs a stem computes those of the coming batches up to this
+# many rows, and pays for all of them, so the window is long enough to make
+# such steps rare: at B=32 it is 64 batches, about 2 window-start steps per
+# 100-step stream, which stay out of the 95th percentile of step times
+# (256-row windows put one in every 8 steps, and in every method's tail).
+# At d=16 its stems hold about 330 KB.
 STEM_WINDOW_ROWS = 2048
 
 
@@ -227,6 +223,8 @@ class MethodConfig:
             raise ValueError(f"momentum must be in [0, 1) for method '{self.kind}', got {self.momentum}")
         if not 0 <= self.sigma_scale < math.inf:
             raise ValueError(f"sigma_scale must be finite and >= 0, got {self.sigma_scale}")
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if recipe.has_rounds and self.rounds < 1:
             raise ValueError(f"rounds must be >= 1 for method '{self.kind}', got {self.rounds}")
         if not recipe.has_rounds and self.rounds != 1:
@@ -345,10 +343,10 @@ class AdaptEngine:
         self.counters = Counters()
         self._va_rng = substream(seed, "vicinal-rounds")
         self._idle_steps = 0  # steps in a row without an update
-        self._ahead: deque = deque()  # look-ahead batch inputs not yet served
-        self._scored: deque = deque()  # their (losses, predicted, confidence), once scored
-        self._window: deque = deque()  # stem-window batch inputs, from this step's on
-        self._stems: deque = deque()  # their forward_stem (normalized, inv_std), once computed
+        self._plan: list = []  # replay(): inputs of the coming batches, in order
+        self._next = 0  # plan index of the next on-plan step
+        self._stems: dict = {}  # plan index -> forward_stem (normalized, inv_std)
+        self._scores: dict = {}  # plan index -> (losses, predicted, confidence)
         self._set_sigma(sigma)
 
     @property
@@ -356,7 +354,7 @@ class AdaptEngine:
         return self._sigma
 
     def _set_sigma(self, sigma: DiagCovariance | None) -> None:
-        self._drop_look_ahead()
+        self._scores.clear()
         self._sigma = sigma
         recipe = self.method.recipe
         self.loss = None if sigma is None and recipe.needs_sigma else recipe.loss(self.net.head, sigma)
@@ -380,84 +378,51 @@ class AdaptEngine:
         set_adaptable_params(self.net, new_params)
         self.counters.n_optimizer_steps += 1
 
-    @property
-    def _block_size(self) -> int:
-        """Batches to look ahead: 2^m after m steps in a row without an update."""
-        return 1 << self._idle_steps
-
-    def _leading_batches(self, upcoming):
-        """The inputs of ``upcoming`` up to the first that is not an
-        (n, d_in) array, so that a malformed batch is never held ahead and
-        fails at its own step, with its own error."""
+    def replay(self, inputs) -> None:
+        """Plan the coming batches: hold their inputs, the next one first, up
+        to the first that is not an (n, d_in) array, so that a malformed
+        batch is never held and fails at its own step, with its own error.
+        Replaces any plan held; ``replay(())`` ends it."""
         d_in = self.net.d_in
-        return takewhile(lambda b: isinstance(b, np.ndarray) and b.shape[1:] == (d_in,), upcoming)
-
-    def _look_ahead(self, upcoming: list) -> None:
-        """Queue the inputs of the coming batches, the next one first, to be
-        scored as one block by the ``adapt_step`` call of the first; a
-        single batch is no block."""
-        self._drop_look_ahead()
-        block = list(self._leading_batches(upcoming))
-        if len(block) > 1:
-            self._ahead.extend(block)
-
-    def _drop_look_ahead(self) -> None:
-        self._ahead.clear()
-        self._scored.clear()
-
-    def _open_window(self, upcoming) -> None:
-        """Hold the inputs of the coming batches, the next one first, as the
-        stem window: as many as fit in STEM_WINDOW_ROWS rows. A network
-        without layers has no stem, and a single batch is no window."""
-        self._drop_window()
-        if not self.net.layers:
-            return
-        window, rows = [], 0
-        for b in self._leading_batches(upcoming):
-            rows += len(b)
-            if rows > STEM_WINDOW_ROWS:
-                break
-            window.append(b)
-        if len(window) > 1:
-            self._window.extend(window)
-
-    def _drop_window(self) -> None:
-        self._window.clear()
+        self._plan = list(takewhile(lambda b: isinstance(b, np.ndarray) and b.shape[1:] == (d_in,), inputs))
+        self._next = 0
         self._stems.clear()
+        self._scores.clear()
 
-    def _window_stems(self, n: int) -> list:
-        """Stems of the next ``n`` window batches (fewer if the window holds
-        fewer); the first call that needs one computes the stems of every
-        batch left in the window, in chunks of whole batches."""
-        if n and self._window and not self._stems:
-            held = list(self._window)
-            for lo, hi in _whole_batch_chunks(held):
-                self._stems.extend(_split(forward_stem(self.net, held[lo:hi]), held[lo:hi]))
-        return list(islice(self._stems, n))
+    def _stem(self, i: int) -> tuple:
+        """``(stem,)`` of plan batch ``i``, or ``()`` without one: the extra
+        arguments of a forward that starts from it. Without one, first
+        computes the stems of batches i onward that fit in STEM_WINDOW_ROWS
+        rows, in chunks of whole batches; a network without layers has no
+        stem, and a single batch is no window."""
+        if i not in self._stems and self.net.layers:
+            window, rows = [], 0
+            for b in self._plan[i:]:
+                rows += len(b)
+                if rows > STEM_WINDOW_ROWS:
+                    break
+                window.append(b)
+            if len(window) > 1:
+                for lo, hi in _whole_batch_chunks(window):
+                    stems = _split(forward_stem(self.net, window[lo:hi]), window[lo:hi])
+                    self._stems.update(zip(range(i + lo, i + hi), stems))
+        return (self._stems[i],) if i in self._stems else ()
 
-    def _score_block(self) -> None:
-        """Losses, predictions and confidences of every look-ahead batch at
-        the current parameters, in chunks of whole batches, each chunk from
-        its stems when all of its batches are in the window."""
-        batches = list(self._ahead)
-        in_window = sum(1 for _ in takewhile(lambda pair: pair[0] is pair[1], zip(self._window, batches)))
-        stems = self._window_stems(in_window)
-        for lo, hi in _whole_batch_chunks(batches):
-            stem = tuple(map(np.concatenate, zip(*stems[lo:hi]))) if hi <= len(stems) else None
-            feats = forward_features_batch(self.net, np.concatenate(batches[lo:hi]), stem)
+    def _score_block(self, i: int) -> None:
+        """Losses, predictions and confidences of plan batches i … i+2^m−1
+        after m idle steps, at the current parameters, in chunks of whole
+        batches, each chunk from its stems when all of its batches have one."""
+        block = self._plan[i : i + (1 << self._idle_steps)]
+        if len(block) < 2:
+            return
+        self._stem(i)  # computes the stems from batch i on, if it has none
+        for lo, hi in _whole_batch_chunks(block):
+            stems = [self._stems.get(j) for j in range(i + lo, i + hi)]
+            stem = None if any(s is None for s in stems) else tuple(map(np.concatenate, zip(*stems)))
+            feats = forward_features_batch(self.net, np.concatenate(block[lo:hi]), stem)
             losses, _, probs = self.loss.value_and_pullback(feats)
-            self._scored.extend(_split((losses, probs.argmax(axis=1), probs.max(axis=1)), batches[lo:hi]))
-
-    def _serve(self, inputs):
-        """The look-ahead scores of ``inputs`` if it is the next block batch,
-        else None (and the block is dropped)."""
-        if not self._ahead or self._ahead[0] is not inputs:
-            self._drop_look_ahead()
-            return None
-        if not self._scored:
-            self._score_block()
-        self._ahead.popleft()
-        return self._scored.popleft()
+            parts = _split((losses, probs.argmax(axis=1), probs.max(axis=1)), block[lo:hi])
+            self._scores.update(zip(range(i + lo, i + hi), parts))
 
     def adapt_step(self, inputs) -> StepReport:
         """Predict, score, select, and (maybe) update on one batch."""
@@ -468,13 +433,20 @@ class AdaptEngine:
             raise RuntimeError(f"method '{self.method.kind}' requires calibration first")
         t0 = time.perf_counter()
         recipe = self.method.recipe
-        if self._window and self._window[0] is not inputs:
-            self._drop_window()
+        i = self._next
+        on_plan = i < len(self._plan)
+        if on_plan and self._plan[i] is not inputs:
+            self.replay(())  # any other input ends the plan
+            on_plan = False
+        served = None
+        if on_plan:
+            self._next = i + 1
+            if self._idle_steps and i not in self._scores:
+                self._score_block(i)
+            served = self._scores.pop(i, None)
 
-        served = self._serve(inputs)
         if served is None:
-            # this step's batch is the window's first, if the window holds any
-            feats, caches = forward_with_caches(self.net, X, *self._window_stems(1))
+            feats, caches = forward_with_caches(self.net, X, *(self._stem(i) if on_plan else ()))
             losses, pullback, probs = self.loss.value_and_pullback(feats)
             predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
         else:
@@ -485,19 +457,17 @@ class AdaptEngine:
         steps_before = self.counters.n_optimizer_steps
         if n_selected > 0:
             if served is not None:
-                feats, caches = forward_with_caches(self.net, X, *self._window_stems(1))
+                feats, caches = forward_with_caches(self.net, X, *self._stem(i))
                 pullback = self.loss.value_and_pullback(feats)[1]
             recipe.update(self, X, caches, pullback, selected, n_selected)
         updated = self.counters.n_optimizer_steps > steps_before
         if updated:
             self._idle_steps = 0
-            self._drop_look_ahead()
+            self._scores.clear()
         else:
             self._idle_steps += 1
-        if self._window:
-            self._window.popleft()
-            if self._stems:
-                self._stems.popleft()
+        if on_plan:
+            self._stems.pop(i, None)
 
         return StepReport(
             losses=losses,
@@ -514,22 +484,17 @@ def run_stream(engine: AdaptEngine, stream) -> RunTrace:
     """Single ordered pass; online accuracy from pre-update predictions.
 
     ``stream`` yields batches exposing ``inputs`` and ``labels``; only the
-    inputs ever reach the engine, one ``adapt_step`` call per batch. When
-    the engine has no look-ahead batches left, it is first handed the
-    inputs of the next ``2^m`` batches, and when it has no stem window
-    left, those of the next ``STEM_WINDOW_ROWS`` rows (see the module
-    docstring).
+    inputs ever reach the engine: all of them at once through
+    ``engine.replay``, which lets it reuse scores and stems (see the module
+    docstring), then one ``adapt_step`` call per batch, in order.
     """
     if engine.method.needs_sigma and engine.sigma is None:
         raise RuntimeError(f"method '{engine.method.kind}' requires calibration before streaming")
     batches = list(stream)
+    engine.replay([b.inputs for b in batches])
     trace = RunTrace()
     t0 = time.perf_counter()
-    for i, batch in enumerate(batches):
-        if not engine._window:
-            engine._open_window(batches[j].inputs for j in range(i, len(batches)))
-        if not engine._ahead:
-            engine._look_ahead([b.inputs for b in batches[i : i + engine._block_size]])
+    for batch in batches:
         report = engine.adapt_step(batch.inputs)
         labels = np.asarray(batch.labels)
         trace.steps.append(report)

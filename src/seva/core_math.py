@@ -138,6 +138,8 @@ def _check_feature(head: ClassifierHead, z) -> np.ndarray:
         raise DimensionMismatch(
             f"feature has dim {z.shape[0]}, head expects dim {head.feature_dim}"
         )
+    if not np.isfinite(z).all():
+        raise ValueError("feature must be finite")
     return z
 
 

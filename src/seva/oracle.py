@@ -121,8 +121,6 @@ def _logit_blocks(head: ClassifierHead, z, sigma: DiagCovariance, rng: np.random
     """
     z = _check_feature(head, z)
     _check_sigma(head, sigma)
-    if not np.isfinite(z).all():
-        raise ValueError("feature must be finite")
     scaled = head.weights * np.sqrt(sigma.variances)[None, :]
     shift = (head.weights @ z + head.biases)[:, None]
     block = np.empty((head.n_classes, min(n, MC_CHUNK_ROWS)))

@@ -3,6 +3,7 @@
 import copy
 import inspect
 import math
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -165,6 +166,14 @@ class TestMethodConfig:
     def test_rounds_validated(self):
         with pytest.raises(ValueError, match="rounds"):
             MethodConfig(kind="explicit_va", rounds=0)
+
+    @pytest.mark.parametrize("kind", ["explicit_va", "tent"])
+    @pytest.mark.parametrize("rounds", [2.5, 2.0, True, "2"])
+    def test_rounds_must_be_an_integer(self, kind, rounds):
+        # not left to fail at the first update, inside range()
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            MethodConfig(kind=kind, rounds=rounds)
+        MethodConfig(kind="explicit_va", rounds=np.int64(2))  # any integral type
 
 
 def small_setup(seed=0, C=4, d_in=6, d=8):
@@ -555,18 +564,7 @@ class TestLookAhead:
         cfg = resolve_config(DIGEST_GRID)
         built = build_world_and_model(cfg)
         stream = build_stream(cfg, built[0], seed)
-        served = {}  # engine -> whether each of its steps was served from a block
-        serve = AdaptEngine._serve
-
-        def observed(e, inputs):
-            scores = serve(e, inputs)
-            served.setdefault(e, []).append(scores is not None)
-            return scores
-
-        monkeypatch.setattr(AdaptEngine, "_serve", observed)
-        from_stem = []  # per forward on the engine's path: whether it started from a stem
-        for name in ("forward_with_caches", "forward_features_batch"):
-            monkeypatch.setattr(seva.adapt, name, spy_stem_use(getattr(seva.adapt, name), from_stem))
+        forwards = spy_forwards(monkeypatch)
 
         def engine(name, method):
             e = AdaptEngine(copy.deepcopy(built[1]), method, seed=derive_seed(cfg.master_seed, "engine", seed, name))
@@ -575,51 +573,87 @@ class TestLookAhead:
             return e
 
         assert {method.kind for _, method in cfg.methods()} == set(RECIPES)
-        served_and_updated = {}
+        block_rows, forward_rows = {}, {}
         for name, method in cfg.methods():
             ahead, plain = engine(name, method), engine(name, method)
-            from_stem.clear()
+            forwards.clear()
             trace = run_stream(ahead, stream)
-            assert any(from_stem)  # every kind runs forwards from stems
-            from_stem.clear()
+            assert any(from_stem for _, _, from_stem in forwards)  # every kind runs forwards from stems
+            block_rows[name] = sum(rows for fn, rows, _ in forwards if fn == "forward_features_batch")
+            forward_rows[name] = sum(rows for _, rows, _ in forwards)
+            forwards.clear()
             reports = [plain.adapt_step(b.inputs) for b in stream]
-            assert from_stem and not any(from_stem)
+            assert forwards and not any(from_stem for _, _, from_stem in forwards)
+            assert all(fn == "forward_with_caches" for fn, _, _ in forwards)  # no plan, no block
             assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in reports]
             assert ahead.counters == plain.counters
             assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
-            assert not any(served.get(plain, []))
-            steps = list(zip(served[ahead], trace.steps))
-            served_and_updated[name] = (sum(s for s, _ in steps), sum(s and r.updated for s, r in steps))
         # the frozen method is served from blocks; entropy_select also updates
-        # on served batches, recomputing their forward pass
-        assert served_and_updated["no_adapt"][0] > 0
-        assert served_and_updated["es"][1] > 0
+        # on served batches, recomputing their forward pass, so it forwards
+        # more rows than it reports
+        assert block_rows["no_adapt"] > 0
+        assert block_rows["es"] > 0 and forward_rows["es"] > sum(len(b.inputs) for b in stream)
 
     def test_never_updating_stream_scores_blocks_of_2_8_and_the_rest(self, monkeypatch):
         net, _ = small_setup(seed=15)
         rng = np.random.default_rng(16)
         stream = [Batch(rng.standard_normal((4, 6)), np.zeros(4, dtype=int)) for _ in range(100)]
-        sizes = []
-        score_block = AdaptEngine._score_block
-        monkeypatch.setattr(AdaptEngine, "_score_block", lambda e: sizes.append(len(e._ahead)) or score_block(e))
+        forwards = spy_forwards(monkeypatch)
         engine = AdaptEngine(net, MethodConfig(kind="no_adapt"))
         run_stream(engine, stream)
-        assert sizes == [2, 8, 89]
+        # blocks of 2, 8 and 89 batches of 4 rows, in chunks of at most 256 rows
+        assert [rows for fn, rows, _ in forwards if fn == "forward_features_batch"] == [8, 32, 256, 100]
         assert engine.counters.n_forward == 400
 
-    def test_other_input_drops_the_look_ahead(self):
+    def test_other_input_drops_the_look_ahead(self, monkeypatch):
         net, stream = small_setup(seed=17)
         method = MethodConfig(kind="entropy_select", threshold_rho=0.01, lr=0.05)  # selects nothing
         engine = AdaptEngine(copy.deepcopy(net), method)
         fresh = AdaptEngine(copy.deepcopy(net), method)
-        engine._look_ahead([b.inputs for b in stream[:4]])
-        inputs = [stream[0].inputs, stream[1].inputs.copy(), stream[2].inputs]  # equal, not the same object
-        got = [engine.adapt_step(x) for x in inputs[:2]]
-        assert not engine._ahead  # dropped by the copy
-        got.append(engine.adapt_step(inputs[2]))
+        engine.replay([b.inputs for b in stream[:5]])
+        forwards = spy_forwards(monkeypatch)
+        # the second step scores a block of batches 1 and 2; batch 2 arrives as
+        # a copy (equal, not the same object), which ends the plan, so batch 2
+        # itself is not on it either
+        inputs = [stream[0].inputs, stream[1].inputs, stream[2].inputs.copy(), stream[2].inputs, stream[3].inputs]
+        got = [engine.adapt_step(x) for x in inputs]
+        assert forwards == [
+            ("forward_with_caches", 8, True),
+            ("forward_features_batch", 16, True),
+            ("forward_with_caches", 8, False),  # the block's score of batch 2 is not served
+            ("forward_with_caches", 8, False),
+            ("forward_with_caches", 8, False),  # nor is any stem held
+        ]
         want = [fresh.adapt_step(x) for x in inputs]
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert engine.counters == fresh.counters
+
+    def test_calibrate_between_plan_steps_drops_the_scores(self, monkeypatch):
+        # a block scored under the old covariance is not served under the new
+        net, stream = small_setup(seed=28)
+        X = np.concatenate([b.inputs for b in stream])
+        method = MethodConfig(kind="seva", threshold_rho=0.01, lr=0.05)  # selects nothing
+        engine, plain, stale = (AdaptEngine(copy.deepcopy(net), method) for _ in range(3))
+        for e in (engine, plain, stale):
+            e.calibrate(X[:16])
+        engine.replay([b.inputs for b in stream])
+        forwards = spy_forwards(monkeypatch)
+        got = [engine.adapt_step(b.inputs) for b in stream[:2]]
+        engine.calibrate(X[16:])
+        got += [engine.adapt_step(b.inputs) for b in stream[2:]]
+        # step 1 scores batches 1-2; after the calibration, step 2 scores 2-5
+        assert forwards == [
+            ("forward_with_caches", 8, True),
+            ("forward_features_batch", 16, True),
+            ("forward_features_batch", 32, True),
+        ]
+        want = [plain.adapt_step(b.inputs) for b in stream[:2]]
+        plain.calibrate(X[16:])
+        want += [plain.adapt_step(b.inputs) for b in stream[2:]]
+        assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
+        assert engine.counters == plain.counters
+        stale_losses = [stale.adapt_step(b.inputs).losses for b in stream][2]
+        assert stale_losses.tobytes() != got[2].losses.tobytes()  # the old scores would show
 
     @pytest.mark.parametrize("bad", [np.zeros((8, 5)), np.zeros(6), np.zeros((0, 6))], ids=["width", "1d", "empty"])
     def test_a_malformed_batch_fails_at_its_own_step(self, bad):
@@ -637,15 +671,18 @@ class TestLookAhead:
         assert str(signature.replace(return_annotation=inspect.Signature.empty)) == "(self, inputs)"
 
 
-def spy_stem_use(forward, from_stem):
-    """``forward`` (net, X[, stem]), noting in ``from_stem`` whether each call
-    was handed a stem."""
+def spy_forwards(monkeypatch):
+    """(function name, rows, whether handed a stem) of every forward pass on
+    the engine's path, in call order."""
+    calls = []
+    for name in ("forward_with_caches", "forward_features_batch"):
 
-    def spied(net, X, *stem):
-        from_stem.append(bool(stem) and stem[0] is not None)
-        return forward(net, X, *stem)
+        def spied(net, X, stem=None, _name=name, _forward=getattr(seva.adapt, name)):
+            calls.append((_name, len(X), stem is not None))
+            return _forward(net, X, stem)
 
-    return spied
+        monkeypatch.setattr(seva.adapt, name, spied)
+    return calls
 
 
 def stream_of(sizes, seed=20, d_in=6):
@@ -690,53 +727,73 @@ class TestStemWindow:
         else:
             assert 0 < sum(stem_rows) <= 240
 
-    def test_a_window_spans_updates_and_keeps_its_stems(self, stem_rows):
+    def test_a_window_spans_updates_and_keeps_its_stems(self, monkeypatch, stem_rows):
+        # updates at steps 1, 2 and 5; steps 1, 4 and 5 are served from blocks
+        thresholds = (0.0, math.inf, math.inf, 0.0, 0.0, math.inf)
         net, stream = small_setup(seed=19)
-        method = MethodConfig(kind="tent", lr=0.05)
+        method = MethodConfig(kind="entropy_select", lr=0.05)
         engine, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
-        engine._open_window([b.inputs for b in stream])
-        engine._look_ahead([b.inputs for b in stream[:4]])
-        got = []
-        for i, batch in enumerate(stream):
+        engine.replay([b.inputs for b in stream])
+        forwards = spy_forwards(monkeypatch)
+        got, want = [], []
+        for threshold, batch in zip(thresholds, stream):
+            engine.threshold = plain.threshold = threshold
             got.append(engine.adapt_step(batch.inputs))
-            assert got[-1].updated
-            assert not engine._ahead and not engine._scored  # look-ahead scores are dropped
-            assert len(engine._stems) == len(engine._window) == len(stream) - 1 - i  # stems are not
-        assert stem_rows == [48]  # computed once, by the first step, for the whole window
-        want = [plain.adapt_step(b.inputs) for b in stream]
+        assert [r.updated for r in got] == [t == math.inf for t in thresholds]
+        assert stem_rows == [48]  # computed once, by the first step, for the whole stream
+        assert [(fn, from_stem) for fn, _, from_stem in forwards] == [
+            ("forward_with_caches", True),
+            ("forward_features_batch", True),  # a block of batches 1 and 2
+            ("forward_with_caches", True),  # batch 1 selects: its forward again, for the update
+            ("forward_with_caches", True),  # the update dropped the block's score of batch 2
+            ("forward_with_caches", True),
+            ("forward_features_batch", True),  # a block of batches 4 and 5
+            ("forward_with_caches", True),  # batch 5 selects
+        ]
+        forwards.clear()
+        for threshold, batch in zip(thresholds, stream):
+            plain.threshold = threshold
+            want.append(plain.adapt_step(batch.inputs))
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
 
-    def test_served_steps_compute_stems_only_when_they_select(self, stem_rows):
-        net, stream = small_setup(seed=27)
+    def test_served_steps_compute_stems_only_when_they_select(self, monkeypatch, stem_rows):
+        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", 16)  # stems of 2 batches at a time
+        thresholds = (0.0,) * 5 + (math.inf,) * 3  # selects nothing, then everything
+        net, _ = small_setup(seed=27)
+        stream = stream_of([8] * 8)
         method = MethodConfig(kind="entropy_select", lr=0.05)
         engine, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
-        engine._look_ahead([b.inputs for b in stream[:4]])
-        engine.threshold = 0.0  # selects nothing
-        reports = [engine.adapt_step(stream[0].inputs)]  # scores the block before any window
-        engine._open_window([b.inputs for b in stream[1:]])
-        reports.append(engine.adapt_step(stream[1].inputs))  # served, selects nothing: no forward
-        assert stem_rows == []
-        engine.threshold = math.inf  # selects everything
-        reports.append(engine.adapt_step(stream[2].inputs))  # served, selects: its forward computes the window
-        assert stem_rows == [32] and reports[-1].updated
+        engine.replay([b.inputs for b in stream])
+        got, rows_after = [], []
+        for threshold, batch in zip(thresholds, stream):
+            engine.threshold = threshold
+            got.append(engine.adapt_step(batch.inputs))
+            rows_after.append(list(stem_rows))
+        # step 0 computes the stems of batches 0-1, and step 3 those of 3-4 for
+        # its block of batches 3-7; steps 2 and 4 are served and select
+        # nothing, so they run no forward; step 5 is served and selects, so
+        # its forward computes the stems of 5-6
+        assert rows_after[:6] == [[16], [16], [16], [16, 16], [16, 16], [16, 16, 16]]
+        assert got[5].updated
         want = []
-        for threshold, batch in zip((0.0, 0.0, math.inf), stream):
+        for threshold, batch in zip(thresholds, stream):
             plain.threshold = threshold
             want.append(plain.adapt_step(batch.inputs))
-        assert [report_bytes(r) for r in reports] == [report_bytes(r) for r in want]
+        assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
 
-    def test_other_input_drops_the_window(self, stem_rows):
+    def test_other_input_drops_the_window(self, monkeypatch, stem_rows):
         net, stream = small_setup(seed=22)
         method = MethodConfig(kind="tent", lr=0.05)
         engine, fresh = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
-        engine._open_window([b.inputs for b in stream[:4]])
-        inputs = [stream[0].inputs, stream[1].inputs.copy(), stream[2].inputs]  # equal, not the same object
-        got = [engine.adapt_step(x) for x in inputs[:2]]
-        assert not engine._window and not engine._stems  # dropped by the copy
-        got.append(engine.adapt_step(inputs[2]))
+        engine.replay([b.inputs for b in stream[:4]])
+        forwards = spy_forwards(monkeypatch)
+        # a copy of batch 1 (equal, not the same object) ends the plan
+        inputs = [stream[0].inputs, stream[1].inputs.copy(), stream[1].inputs, stream[2].inputs]
+        got = [engine.adapt_step(x) for x in inputs]
         assert stem_rows == [32]
+        assert [from_stem for _, _, from_stem in forwards] == [True, False, False, False]  # dropped by the copy
         want = [fresh.adapt_step(x) for x in inputs]
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert engine.counters == fresh.counters
@@ -752,15 +809,27 @@ class TestStemWindow:
         # the window ends before a batch that is not an (n, d_in) array
         assert stem_rows == ([96] if bad.ndim == 2 and bad.shape[1] == 6 else [48])
 
-    def test_held_stem_rows_never_exceed_the_window(self, monkeypatch, stem_rows):
+    def test_held_stem_rows_never_exceed_the_window(self, monkeypatch):
         window_rows = 50
         monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", window_rows)
+        # each forward_stem result's 1/std array owns its memory, and every
+        # stem the engine holds is a slice of one; so a result is alive, by
+        # weak reference, while the engine holds any stem from it
+        results = []  # (weak reference to the 1/std array, rows)
+        stem = seva.adapt.forward_stem
+
+        def weakly_kept(net, batches):
+            normalized, inv_std = stem(net, batches)
+            assert inv_std.base is None
+            results.append((weakref.ref(inv_std), len(inv_std)))
+            return normalized, inv_std
+
+        monkeypatch.setattr(seva.adapt, "forward_stem", weakly_kept)
         held = []
         step = AdaptEngine.adapt_step
 
         def checked(engine, inputs):
-            held.append(sum(len(normalized) for normalized, _ in engine._stems))
-            assert sum(map(len, engine._window)) <= window_rows
+            held.append(sum(rows for ref, rows in results if ref() is not None))
             return step(engine, inputs)
 
         monkeypatch.setattr(AdaptEngine, "adapt_step", checked)
@@ -770,8 +839,9 @@ class TestStemWindow:
         stream = stream_of([5, 13, 40, 1, 60, 7, 7, 30] * 4)
         method = MethodConfig(kind="tent", lr=0.05)
         trace = run_stream(AdaptEngine(copy.deepcopy(net), method), stream)
+        assert len(results) > 1
         assert 0 < max(held) <= window_rows
-        assert max(stem_rows) <= window_rows
+        assert max(rows for _, rows in results) <= window_rows
         plain = AdaptEngine(copy.deepcopy(net), method)
         assert [report_bytes(r) for r in trace.steps] == [report_bytes(step(plain, b.inputs)) for b in stream]
 

@@ -67,6 +67,25 @@ class TestLogits:
             logits(h3, [1.0, 0.0, 0.0])
 
 
+
+# every single-feature function, called as f(head, z, sigma)
+FEATURE_FUNCTIONS = {
+    "logits": lambda head, z, sigma: logits(head, z),
+    "robust_probs": robust_probs,
+    "augmented_entropy": augmented_entropy,
+    "augmented_entropy_decomposed": augmented_entropy_decomposed,
+    "grad_augmented_entropy_wrt_feature": grad_augmented_entropy_wrt_feature,
+    "grad_entropy_wrt_feature": lambda head, z, sigma: grad_entropy_wrt_feature(head, z),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", FEATURE_FUNCTIONS)
+def test_non_finite_feature_raises(h3, sigma_half, name, bad):
+    # an error, never a silent NaN
+    with pytest.raises(ValueError, match="feature must be finite"):
+        FEATURE_FUNCTIONS[name](h3, np.array([bad, 0.0]), sigma_half)
+
 class TestSoftmaxEntropy:
     def test_uniform(self):
         np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), np.ones(3) / 3, rtol=0, atol=1e-15)

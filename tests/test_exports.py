@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import seva
+import seva.adapt
+import seva.runner
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(seva.__path__))
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,25 @@ def test_no_module_imports_a_name_it_never_uses(name):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_test_or_demo_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], f"{path.name} imports names it never uses"
+
+
+def private_attribute_reads(source: str) -> list[str]:
+    """``obj.attr`` expressions in ``source`` whose attribute name starts
+    with an underscore, dunders aside."""
+    return sorted(
+        f"{ast.unparse(node.value)}.{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    )
+
+
+def test_private_attribute_check_sees_private_reads():
+    source = "if not engine._window:\n    engine._open_window(b.inputs)\nengine.replay(x.__dict__)\n"
+    assert private_attribute_reads(source) == ["engine._open_window", "engine._window"]
+
+
+# The engine's replay state stays behind AdaptEngine.replay: the evaluator
+# loop and the runner drive it through public methods only.
+@pytest.mark.parametrize("driver", [seva.adapt.run_stream, seva.runner], ids=["adapt.run_stream", "runner"])
+def test_no_engine_driver_reads_a_private_attribute(driver):
+    assert private_attribute_reads(inspect.getsource(driver)) == []
