@@ -37,12 +37,13 @@ batch is no block), and later steps are served from it until an update or
 ``calibrate`` drops the scores. A served batch that selects samples runs
 its forward pass and loss again, at the same parameters, for the caches
 its update needs. Only the group-norm affine adapts, so each batch's
-first-layer "stem" (``model.forward_stem``) depends on its input alone: a
-forward on a plan batch with no stem computes the stems of it and the
-batches after it, up to ``STEM_WINDOW_ROWS`` rows, and each stem is held,
-across updates, until its step passes. The step that does the work is
-charged for it. ``Counters.n_forward`` counts each scored sample once, at
-the step that reports it; block rows that an update drops are not counted.
+first-layer "stem" (``model.forward_stem``) depends on its input alone: the
+plan's first forward pass computes the stems of its batch and of every plan
+batch after it, in chunks of whole batches, and every forward on the plan
+starts from its rows of them. They are held, across updates, until the plan
+ends. The step that does the work is charged for it.
+``Counters.n_forward`` counts each scored sample once, at the step that
+reports it; block rows that an update drops are not counted.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from typing import Callable
 
 import numpy as np
@@ -84,18 +85,10 @@ __all__ = [
 ]
 
 
-# A look-ahead block is scored in chunks of whole batches of at most this
-# many rows (at least one batch each): that bounds the loss's (rows, C)
-# temporaries, which an unchunked 89-batch block grows by megabytes.
+# Look-ahead blocks are scored, and the plan's stems computed, in chunks of
+# whole batches of at most this many rows (at least one batch each): that
+# bounds their temporaries, which one unchunked pass grows by megabytes.
 BLOCK_CHUNK_ROWS = 256
-
-# A step that needs a stem computes those of the coming batches up to this
-# many rows, and pays for all of them, so the window is long enough to make
-# such steps rare: at B=32 it is 64 batches, about 2 window-start steps per
-# 100-step stream, which stay out of the 95th percentile of step times
-# (256-row windows put one in every 8 steps, and in every method's tail).
-# At d=16 its stems hold about 330 KB.
-STEM_WINDOW_ROWS = 2048
 
 
 def _whole_batch_chunks(batches: list):
@@ -345,7 +338,8 @@ class AdaptEngine:
         self._idle_steps = 0  # steps in a row without an update
         self._plan: list = []  # replay(): inputs of the coming batches, in order
         self._next = 0  # plan index of the next on-plan step
-        self._stems: dict = {}  # plan index -> forward_stem (normalized, inv_std)
+        self._rows: list = [0]  # row offset of each plan batch, then the plan's rows
+        self._stems = None  # the plan's (normalized, inv_std), from its first forward on
         self._scores: dict = {}  # plan index -> (losses, predicted, confidence)
         self._set_sigma(sigma)
 
@@ -380,46 +374,47 @@ class AdaptEngine:
 
     def replay(self, inputs) -> None:
         """Plan the coming batches: hold their inputs, the next one first, up
-        to the first that is not an (n, d_in) array, so that a malformed
-        batch is never held and fails at its own step, with its own error.
+        to the first that is not a numeric (n, d_in) array, so that a
+        malformed batch is never held (the plan's first forward converts
+        every held batch) and fails at its own step, with its own error.
         Replaces any plan held; ``replay(())`` ends it."""
         d_in = self.net.d_in
-        self._plan = list(takewhile(lambda b: isinstance(b, np.ndarray) and b.shape[1:] == (d_in,), inputs))
+        self._plan = list(
+            takewhile(lambda b: isinstance(b, np.ndarray) and b.dtype.kind in "biuf" and b.shape[1:] == (d_in,), inputs)
+        )
         self._next = 0
-        self._stems.clear()
+        self._rows = list(accumulate(map(len, self._plan), initial=0))
+        self._stems = None
         self._scores.clear()
 
-    def _stem(self, i: int) -> tuple:
-        """``(stem,)`` of plan batch ``i``, or ``()`` without one: the extra
-        arguments of a forward that starts from it. Without one, first
-        computes the stems of batches i onward that fit in STEM_WINDOW_ROWS
-        rows, in chunks of whole batches; a network without layers has no
-        stem, and a single batch is no window."""
-        if i not in self._stems and self.net.layers:
-            window, rows = [], 0
-            for b in self._plan[i:]:
-                rows += len(b)
-                if rows > STEM_WINDOW_ROWS:
-                    break
-                window.append(b)
-            if len(window) > 1:
-                for lo, hi in _whole_batch_chunks(window):
-                    stems = _split(forward_stem(self.net, window[lo:hi]), window[lo:hi])
-                    self._stems.update(zip(range(i + lo, i + hi), stems))
-        return (self._stems[i],) if i in self._stems else ()
+    def _stem(self, lo: int, hi: int) -> tuple:
+        """``(stem,)`` of plan batches lo … hi−1, or ``()`` on a network
+        without layers: the extra argument of a forward that starts from it.
+        The first call computes the stems of plan batches lo onward into one
+        (rows, channels) and one (rows, groups) array, in chunks of whole
+        batches; the rows of earlier batches stay unset, as no step reads
+        them again."""
+        if not self.net.layers:
+            return ()
+        rows = self._rows
+        if self._stems is None:
+            layer = self.net.layers[0]
+            normalized, inv_std = np.empty((rows[-1], layer.channels)), np.empty((rows[-1], layer.groups))
+            for a, b in _whole_batch_chunks(self._plan[lo:]):
+                part = slice(rows[lo + a], rows[lo + b])
+                normalized[part], inv_std[part] = forward_stem(self.net, self._plan[lo + a : lo + b])
+            self._stems = normalized, inv_std
+        return (tuple(s[rows[lo] : rows[hi]] for s in self._stems),)
 
     def _score_block(self, i: int) -> None:
         """Losses, predictions and confidences of plan batches i … i+2^m−1
         after m idle steps, at the current parameters, in chunks of whole
-        batches, each chunk from its stems when all of its batches have one."""
+        batches, each from its stems."""
         block = self._plan[i : i + (1 << self._idle_steps)]
         if len(block) < 2:
             return
-        self._stem(i)  # computes the stems from batch i on, if it has none
         for lo, hi in _whole_batch_chunks(block):
-            stems = [self._stems.get(j) for j in range(i + lo, i + hi)]
-            stem = None if any(s is None for s in stems) else tuple(map(np.concatenate, zip(*stems)))
-            feats = forward_features_batch(self.net, np.concatenate(block[lo:hi]), stem)
+            feats = forward_features_batch(self.net, np.concatenate(block[lo:hi]), *self._stem(i + lo, i + hi))
             losses, _, probs = self.loss.value_and_pullback(feats)
             parts = _split((losses, probs.argmax(axis=1), probs.max(axis=1)), block[lo:hi])
             self._scores.update(zip(range(i + lo, i + hi), parts))
@@ -446,7 +441,7 @@ class AdaptEngine:
             served = self._scores.pop(i, None)
 
         if served is None:
-            feats, caches = forward_with_caches(self.net, X, *(self._stem(i) if on_plan else ()))
+            feats, caches = forward_with_caches(self.net, X, *(self._stem(i, i + 1) if on_plan else ()))
             losses, pullback, probs = self.loss.value_and_pullback(feats)
             predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
         else:
@@ -457,7 +452,7 @@ class AdaptEngine:
         steps_before = self.counters.n_optimizer_steps
         if n_selected > 0:
             if served is not None:
-                feats, caches = forward_with_caches(self.net, X, *self._stem(i))
+                feats, caches = forward_with_caches(self.net, X, *self._stem(i, i + 1))
                 pullback = self.loss.value_and_pullback(feats)[1]
             recipe.update(self, X, caches, pullback, selected, n_selected)
         updated = self.counters.n_optimizer_steps > steps_before
@@ -466,8 +461,6 @@ class AdaptEngine:
             self._scores.clear()
         else:
             self._idle_steps += 1
-        if on_plan:
-            self._stems.pop(i, None)
 
         return StepReport(
             losses=losses,
@@ -486,7 +479,8 @@ def run_stream(engine: AdaptEngine, stream) -> RunTrace:
     ``stream`` yields batches exposing ``inputs`` and ``labels``; only the
     inputs ever reach the engine: all of them at once through
     ``engine.replay``, which lets it reuse scores and stems (see the module
-    docstring), then one ``adapt_step`` call per batch, in order.
+    docstring), then one ``adapt_step`` call per batch, in order. The plan
+    ends with the stream, so the engine holds no stem past it.
     """
     if engine.method.needs_sigma and engine.sigma is None:
         raise RuntimeError(f"method '{engine.method.kind}' requires calibration before streaming")
@@ -494,12 +488,15 @@ def run_stream(engine: AdaptEngine, stream) -> RunTrace:
     engine.replay([b.inputs for b in batches])
     trace = RunTrace()
     t0 = time.perf_counter()
-    for batch in batches:
-        report = engine.adapt_step(batch.inputs)
-        labels = np.asarray(batch.labels)
-        trace.steps.append(report)
-        trace.labels.append(labels)
-        trace.n_samples += labels.shape[0]
-        trace.n_correct += int((report.predicted == labels).sum())
-    trace.wall_time = time.perf_counter() - t0
+    try:
+        for batch in batches:
+            report = engine.adapt_step(batch.inputs)
+            labels = np.asarray(batch.labels)
+            trace.steps.append(report)
+            trace.labels.append(labels)
+            trace.n_samples += labels.shape[0]
+            trace.n_correct += int((report.predicted == labels).sum())
+        trace.wall_time = time.perf_counter() - t0
+    finally:
+        engine.replay(())
     return trace

@@ -19,6 +19,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -277,6 +278,11 @@ def resolve_config(raw: dict) -> RunConfig:
     )
     _require(tree["stream"]["n_batches"] >= 1, "stream.n_batches", "must be >= 1")
     _require(
+        tree["stream"]["n_batches"] * tree["stream"]["batch_size"] >= 2,
+        "stream.n_batches",
+        "times stream.batch_size must be >= 2: calibration takes at least 2 stream rows",
+    )
+    _require(
         -math.inf < tree["stream"]["label_schedule"]["shift_concentration"] < math.inf,
         "stream.label_schedule.shift_concentration",
         "must be finite",
@@ -294,9 +300,15 @@ def resolve_config(raw: dict) -> RunConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # a cell's trace file is named after its method, so resolved names must be unique
+    # a cell's trace file is named after its method, so resolved names must be
+    # unique file-name parts
     for i, name in enumerate(names):
         _require(name not in names[:i], f"methods[{i}].name", f"duplicate method name '{name}'")
+        _require(
+            not any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")),
+            f"methods[{i}].name",
+            f"{name!r} holds a path separator or NUL",
+        )
     return cfg
 
 

@@ -3,6 +3,7 @@
 import copy
 import inspect
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 import seva.adapt
 from seva.adapt import (
     RECIPES,
-    STEM_WINDOW_ROWS,
     AdaptEngine,
     MethodConfig,
     OptimizerState,
@@ -691,8 +691,9 @@ def stream_of(sizes, seed=20, d_in=6):
 
 
 class TestStemWindow:
-    """Forwards on the batches of a stem window start from first-layer stems
-    computed once per window, with the bits of forwards from the inputs."""
+    """The stem window is the plan: its first forward computes the stems of
+    every plan batch, once, and every forward on the plan starts from them,
+    with the bits of forwards from the inputs."""
 
     @pytest.fixture
     def stem_rows(self, monkeypatch):
@@ -709,8 +710,7 @@ class TestStemWindow:
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     @pytest.mark.parametrize("kind", ["tent", "entropy_select", "no_adapt"])
-    def test_run_stream_matches_plain_steps_at_any_depth(self, monkeypatch, stem_rows, n_layers, kind):
-        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", 64)  # windows of 8 batches
+    def test_run_stream_matches_plain_steps_at_any_depth(self, stem_rows, n_layers, kind):
         net = build_network(seed=21, d_in=6, d=6, C=4, n_layers=n_layers, groups=2)
         stream = stream_of([8] * 30)
         method = MethodConfig(kind=kind, threshold_rho=0.9, lr=0.05)
@@ -720,12 +720,7 @@ class TestStemWindow:
         assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in reports]
         assert ahead.counters == plain.counters
         assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
-        if n_layers == 0:
-            assert stem_rows == []  # no stem, no window
-        elif kind == "tent":
-            assert stem_rows == [64, 64, 64, 48]  # every window, once
-        else:
-            assert 0 < sum(stem_rows) <= 240
+        assert stem_rows == ([] if n_layers == 0 else [240])  # every plan batch's stem, once
 
     def test_a_window_spans_updates_and_keeps_its_stems(self, monkeypatch, stem_rows):
         # updates at steps 1, 2 and 5; steps 1, 4 and 5 are served from blocks
@@ -757,25 +752,28 @@ class TestStemWindow:
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
 
-    def test_served_steps_compute_stems_only_when_they_select(self, monkeypatch, stem_rows):
-        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", 16)  # stems of 2 batches at a time
+    def test_served_steps_compute_no_stem(self, monkeypatch, stem_rows):
         thresholds = (0.0,) * 5 + (math.inf,) * 3  # selects nothing, then everything
         net, _ = small_setup(seed=27)
         stream = stream_of([8] * 8)
         method = MethodConfig(kind="entropy_select", lr=0.05)
         engine, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
         engine.replay([b.inputs for b in stream])
+        forwards = spy_forwards(monkeypatch)
         got, rows_after = [], []
         for threshold, batch in zip(thresholds, stream):
             engine.threshold = threshold
             got.append(engine.adapt_step(batch.inputs))
             rows_after.append(list(stem_rows))
-        # step 0 computes the stems of batches 0-1, and step 3 those of 3-4 for
-        # its block of batches 3-7; steps 2 and 4 are served and select
-        # nothing, so they run no forward; step 5 is served and selects, so
-        # its forward computes the stems of 5-6
-        assert rows_after[:6] == [[16], [16], [16], [16, 16], [16, 16], [16, 16, 16]]
-        assert got[5].updated
+        # step 0 computes the stems of all 8 batches; steps 2 and 4 are served
+        # and select nothing, so they run no forward; step 5 is served and
+        # selects, so it runs its forward again, from its stem
+        assert rows_after == [[64]] * 8
+        assert [fn for fn, _, _ in forwards] == ["forward_with_caches"] + ["forward_features_batch"] * 2 + [
+            "forward_with_caches"
+        ] * 3
+        assert all(from_stem for _, _, from_stem in forwards)
+        assert [r.updated for r in got] == [False] * 5 + [True] * 3
         want = []
         for threshold, batch in zip(thresholds, stream):
             plain.threshold = threshold
@@ -798,64 +796,84 @@ class TestStemWindow:
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert engine.counters == fresh.counters
 
-    @pytest.mark.parametrize("bad", [np.zeros((8, 5)), np.zeros(6), np.zeros((0, 6))], ids=["width", "1d", "empty"])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((8, 5)), np.zeros(6), np.zeros((0, 6)), np.full((8, 6), "x")],
+        ids=["width", "1d", "empty", "text"],
+    )
     def test_a_malformed_batch_in_a_window_fails_at_its_own_step(self, stem_rows, bad):
         net, stream = small_setup(seed=23)
         stream = stream + [Batch(bad, np.zeros(len(bad), dtype=int))] + stream
         engine = AdaptEngine(net, MethodConfig(kind="tent", lr=0.05))
-        with pytest.raises(DimensionMismatch if bad.size else ValueError, match=r"\(8, 5\)|\(6,\)|empty batch"):
+        match = r"\(8, 5\)|\(6,\)|empty batch|could not convert"
+        with pytest.raises(DimensionMismatch if bad.size and bad.dtype.kind == "f" else ValueError, match=match):
             run_stream(engine, stream)
         assert engine.counters.n_forward == 6 * 8
-        # the window ends before a batch that is not an (n, d_in) array
-        assert stem_rows == ([96] if bad.ndim == 2 and bad.shape[1] == 6 else [48])
+        # the plan ends before a batch that is not a numeric (n, d_in) array
+        assert stem_rows == ([96] if bad.shape == (0, 6) else [48])
 
-    def test_held_stem_rows_never_exceed_the_window(self, monkeypatch):
-        window_rows = 50
-        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", window_rows)
-        # each forward_stem result's 1/std array owns its memory, and every
-        # stem the engine holds is a slice of one; so a result is alive, by
-        # weak reference, while the engine holds any stem from it
-        results = []  # (weak reference to the 1/std array, rows)
-        stem = seva.adapt.forward_stem
+    def test_no_stem_outlives_its_plan(self, monkeypatch):
+        # every stem a forward gets is a row slice of one of the plan's two
+        # stem arrays, so a weak reference to its base shows when the engine
+        # lets them go
+        bases = {}
+        for name in ("forward_with_caches", "forward_features_batch"):
 
-        def weakly_kept(net, batches):
-            normalized, inv_std = stem(net, batches)
-            assert inv_std.base is None
-            results.append((weakref.ref(inv_std), len(inv_std)))
-            return normalized, inv_std
+            def spied(net, X, stem=None, _forward=getattr(seva.adapt, name)):
+                for part in stem or ():
+                    bases.setdefault(id(part.base), weakref.ref(part.base))
+                return _forward(net, X, stem)
 
-        monkeypatch.setattr(seva.adapt, "forward_stem", weakly_kept)
-        held = []
-        step = AdaptEngine.adapt_step
+            monkeypatch.setattr(seva.adapt, name, spied)
 
-        def checked(engine, inputs):
-            held.append(sum(rows for ref, rows in results if ref() is not None))
-            return step(engine, inputs)
+        def released():
+            return len(bases) == 2 and all(ref() is None for ref in bases.values())
 
-        monkeypatch.setattr(AdaptEngine, "adapt_step", checked)
         net, _ = small_setup(seed=24)
-        # a 60-row batch fits no window; a 1-row batch's linear map takes
-        # another BLAS kernel, so its stem must come from its own rows
+        # a 1-row batch's linear map takes another BLAS kernel, so its stem
+        # must come from its own rows
         stream = stream_of([5, 13, 40, 1, 60, 7, 7, 30] * 4)
         method = MethodConfig(kind="tent", lr=0.05)
-        trace = run_stream(AdaptEngine(copy.deepcopy(net), method), stream)
-        assert len(results) > 1
-        assert 0 < max(held) <= window_rows
-        assert max(rows for _, rows in results) <= window_rows
+        engine = AdaptEngine(copy.deepcopy(net), method)
+        trace = run_stream(engine, stream)
+        assert released()  # by the end of the stream, though the engine lives on
         plain = AdaptEngine(copy.deepcopy(net), method)
-        assert [report_bytes(r) for r in trace.steps] == [report_bytes(step(plain, b.inputs)) for b in stream]
+        assert [report_bytes(r) for r in trace.steps] == [report_bytes(plain.adapt_step(b.inputs)) for b in stream]
 
-    def test_the_committed_window_holds_64_batches_of_32(self, stem_rows):
-        assert STEM_WINDOW_ROWS == 2048
-        net = build_network(seed=25, d_in=16, d=16, C=10, n_layers=2, groups=4)
-        run_stream(AdaptEngine(net, MethodConfig(kind="tent", lr=0.01)), stream_of([32] * 100, d_in=16))
-        assert stem_rows == [256] * 8 + [256] * 4 + [128]  # 64 batches, then the other 36
+        bases.clear()
+        engine.replay([b.inputs for b in stream])
+        engine.adapt_step(stream[0].inputs)
+        assert len(bases) == 2 and not released()  # held while the plan lasts
+        engine.adapt_step(stream[1].inputs.copy())
+        assert released()  # by an off-plan input
+
+        bases.clear()
+        with pytest.raises(DimensionMismatch):
+            run_stream(engine, stream[:3] + [Batch(np.zeros(6), np.zeros(1))])
+        assert released()  # by a stream that fails
+
+    def test_the_committed_stream_computes_its_stems_once_at_step_0(self, monkeypatch, stem_rows):
+        cfg = load_config(CONFIGS_DIR / "committed_scenario.json")
+        world, net, _ = build_world_and_model(cfg)
+        stream = build_stream(cfg, world, cfg.seeds[0])
+        calls_after = []
+        step = AdaptEngine.adapt_step
+
+        def counted(engine, inputs):
+            report = step(engine, inputs)
+            calls_after.append(len(stem_rows))
+            return report
+
+        monkeypatch.setattr(AdaptEngine, "adapt_step", counted)
+        run_stream(AdaptEngine(net, dict(cfg.methods())["tent"]), stream)
+        assert [len(b.inputs) for b in stream] == [32] * 100
+        assert stem_rows == [256] * 12 + [128]  # 100 batches of 32, in chunks of 8
+        assert calls_after == [13] * 100
 
     def test_stem_work_is_charged_to_the_step_that_does_it(self, monkeypatch):
         # a fake clock that only stem work advances
         clock = [0.0]
         monkeypatch.setattr(seva.adapt, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-        monkeypatch.setattr(seva.adapt, "STEM_WINDOW_ROWS", 64)
         stem = seva.adapt.forward_stem
 
         def slow(net, batches):
@@ -864,7 +882,24 @@ class TestStemWindow:
 
         monkeypatch.setattr(seva.adapt, "forward_stem", slow)
         net, _ = small_setup(seed=26)
-        trace = run_stream(AdaptEngine(net, MethodConfig(kind="tent", lr=0.05)), stream_of([8] * 20))
+        trace = run_stream(AdaptEngine(net, MethodConfig(kind="tent", lr=0.05)), stream_of([8] * 40))
         walls = [r.step_wall_time for r in trace.steps]
-        assert walls == [1.0 if i in (0, 8, 16) else 0.0 for i in range(20)]
+        assert walls == [2.0] + [0.0] * 39  # 320 rows: chunks of 256 and 64, both at step 0
         assert trace.wall_time == sum(walls) == clock[0]
+
+    def test_plan_stems_stay_near_their_own_size_at_a_wide_shape(self):
+        # the plan's stems hold (c + groups) floats per row until it ends;
+        # computing them in chunks keeps the pass's temporaries small, where
+        # one unchunked forward_stem call would hold the whole stream's
+        # first-layer products beside them
+        B, n_batches, d, groups = 64, 300, 64, 8
+        net = build_network(seed=29, d_in=d, d=d, C=100, n_layers=2, groups=groups)
+        stream = stream_of([B] * n_batches, d_in=d)
+        stem_bytes = B * n_batches * (d + groups) * 8  # 10.5 MiB
+        tracemalloc.start()
+        try:
+            run_stream(AdaptEngine(net, MethodConfig(kind="tent", lr=0.01)), stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stem_bytes <= peak < stem_bytes + 4 * 2**20

@@ -413,6 +413,16 @@ class TestCli:
         pytest.param(
             {"methods": [{"kind": "seva", "lr": 10**400}]}, ["'methods[0].lr'"], id="oversized_int_method_lr"
         ),
+        # one stream row resolved, then failed calibration at run time
+        pytest.param(
+            {"stream": {"batch_size": 1, "n_batches": 1}, "methods": [{"kind": "seva"}]},
+            ["'stream.n_batches'", "calibration"],
+            id="one_row_stream",
+        ),
+        # a name with a path separator resolved, then failed writing its trace file
+        pytest.param(
+            {"methods": [{"kind": "tent", "name": "a/b"}]}, ["'methods[0].name'", "'a/b'"], id="path_in_method_name"
+        ),
     ])
     def test_badly_typed_value_exit_two_names_key(self, tmp_path, capsys, patch, named):
         cfg_path = write_config(tmp_path, dict(SMALL, **patch))
@@ -449,6 +459,16 @@ class TestCli:
         assert code == 0
         assert out.count("instance") == 4
         assert "all 4 bounds satisfied" in out
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "time"])
+    def test_infeasible_world_exit_one(self, tmp_path, capsys, command):
+        # overlapping prototypes: the fitted head stays below the clean-accuracy floor
+        world = dict(SMALL["world"], proto_scale=0.3, min_separation=0.0)
+        cfg_path = write_config(tmp_path, dict(SMALL, world=world, max_world_retries=1))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("run failed: InfeasibleWorldError")
+        assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
     def test_verify_bounds_violation_exit_one(self, tmp_path, capsys):
         tree = dict(SMALL)
