@@ -17,8 +17,8 @@
 # backward of a 2-layer network) at the committed shape (B=32, d_in=d=16,
 # 4 groups) and the wide shape (B=64, d_in=d=64, 8 groups), as median
 # microseconds per call. "from stem" is forward_with_caches started from
-# the batch's first-layer stem, as a step inside a stem window runs it; the
-# difference from "forward" is the per-step saving of the window.
+# the batch's first-layer stem; the difference from "forward" is the
+# per-step saving of a replay plan.
 import os
 
 # BLAS is pinned to one thread before numpy is first imported, so the
@@ -99,7 +99,7 @@ def engine_sweep(shapes=ENGINE_SHAPES, n_layers=2, reps=2000):
         rng = np.random.default_rng(d)
         X, d_feature = rng.standard_normal((B, d)), rng.standard_normal((B, d))
         _, caches = forward_with_caches(net, X)
-        stem = forward_stem(net, [X])
+        stem = forward_stem(net, X)
         rows.append({
             "shape": name, "B": B, "d": d, "groups": groups,
             "forward_us": 1e3 * _median_ms(lambda: forward_with_caches(net, X), reps),

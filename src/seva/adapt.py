@@ -26,10 +26,12 @@ evaluator that compares the engine's pre-update predictions against the
 hidden labels.
 
 ``run_stream`` first hands the engine the inputs of its whole stream, with
-``replay(inputs)``; ``adapt_step(inputs)`` alone is the causal API. A step
-is on the plan iff its input is the plan's next batch (the same object);
-any other input ends the plan. On the plan the engine reuses two kinds of
-work, with the same bits. Group norm is per sample, so a sample's feature,
+``replay(inputs)``; ``adapt_step(inputs)`` alone is the causal API. The
+plan is the leading run of non-empty numeric batches of the first batch's
+shape. A step is on the plan iff its input is the plan's next batch (the
+same object); any other input ends the plan. On the plan the engine reuses
+two kinds of work on (batches, B, ·) stacks, each batch of a stack with
+the bits of its own step. Group norm is per sample, so a sample's feature,
 loss and prediction do not depend on the rows scored beside it: after m
 steps in a row without an update, an on-plan step with no score scores the
 next 2^m plan batches as one block (capped at the plan's end; a single
@@ -38,10 +40,9 @@ batch is no block), and later steps are served from it until an update or
 its forward pass and loss again, at the same parameters, for the caches
 its update needs. Only the group-norm affine adapts, so each batch's
 first-layer "stem" (``model.forward_stem``) depends on its input alone: the
-plan's first forward pass computes the stems of its batch and of every plan
-batch after it, in chunks of whole batches, and every forward on the plan
-starts from its rows of them. They are held, across updates, until the plan
-ends. The step that does the work is charged for it.
+plan's first forward pass computes the stems of every plan batch, and every
+forward on the plan starts from them. They are held, across updates, until
+the plan ends. The step that does the work is charged for it.
 ``Counters.n_forward`` counts each scored sample once, at the step that
 reports it; block rows that an update drops are not counted.
 """
@@ -52,7 +53,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, takewhile
+from itertools import takewhile
 from typing import Callable
 
 import numpy as np
@@ -85,32 +86,10 @@ __all__ = [
 ]
 
 
-# Look-ahead blocks are scored, and the plan's stems computed, in chunks of
-# whole batches of at most this many rows (at least one batch each): that
-# bounds their temporaries, which one unchunked pass grows by megabytes.
+# Look-ahead blocks are scored, and the plan's stems computed, in stacks of
+# at most this many rows (at least one batch each): that bounds their
+# temporaries, which one unchunked pass grows by megabytes.
 BLOCK_CHUNK_ROWS = 256
-
-
-def _whole_batch_chunks(batches: list):
-    """(lo, hi) runs of consecutive whole batches of at most
-    BLOCK_CHUNK_ROWS rows, at least one batch each."""
-    lo = 0
-    while lo < len(batches):
-        hi, rows = lo + 1, len(batches[lo])
-        while hi < len(batches) and rows + len(batches[hi]) <= BLOCK_CHUNK_ROWS:
-            rows += len(batches[hi])
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
-def _split(arrays: tuple, batches: list):
-    """For each of ``batches`` in turn, its rows of every one of ``arrays``."""
-    start = 0
-    for b in batches:
-        part = slice(start, start + len(b))
-        yield tuple(a[part] for a in arrays)
-        start = part.stop
 
 
 def _below_threshold(losses: np.ndarray, threshold: float) -> np.ndarray:
@@ -338,8 +317,7 @@ class AdaptEngine:
         self._idle_steps = 0  # steps in a row without an update
         self._plan: list = []  # replay(): inputs of the coming batches, in order
         self._next = 0  # plan index of the next on-plan step
-        self._rows: list = [0]  # row offset of each plan batch, then the plan's rows
-        self._stems = None  # the plan's (normalized, inv_std), from its first forward on
+        self._stems = None  # the plan's (normalized, inv_std) stacks, from its first forward on
         self._scores: dict = {}  # plan index -> (losses, predicted, confidence)
         self._set_sigma(sigma)
 
@@ -373,51 +351,55 @@ class AdaptEngine:
         self.counters.n_optimizer_steps += 1
 
     def replay(self, inputs) -> None:
-        """Plan the coming batches: hold their inputs, the next one first, up
-        to the first that is not a numeric (n, d_in) array, so that a
-        malformed batch is never held (the plan's first forward converts
-        every held batch) and fails at its own step, with its own error.
-        Replaces any plan held; ``replay(())`` ends it."""
-        d_in = self.net.d_in
+        """Plan the coming batches from the sequence of their inputs, the
+        next one first: hold them up to the first that is not a numeric array
+        of the first one's non-empty (B, d_in) shape, so that a malformed
+        batch is never held (the plan's first forward converts every held
+        batch) and fails at its own step, with its own error. Replaces any
+        plan held; ``replay(())`` ends it."""
+        shape = getattr(inputs[0], "shape", ()) if len(inputs) else ()
+        if len(shape) != 2 or not shape[0] or shape[1] != self.net.d_in:
+            inputs = ()
         self._plan = list(
-            takewhile(lambda b: isinstance(b, np.ndarray) and b.dtype.kind in "biuf" and b.shape[1:] == (d_in,), inputs)
+            takewhile(lambda b: isinstance(b, np.ndarray) and b.dtype.kind in "biuf" and b.shape == shape, inputs)
         )
         self._next = 0
-        self._rows = list(accumulate(map(len, self._plan), initial=0))
         self._stems = None
         self._scores.clear()
 
-    def _stem(self, lo: int, hi: int) -> tuple:
-        """``(stem,)`` of plan batches lo … hi−1, or ``()`` on a network
-        without layers: the extra argument of a forward that starts from it.
-        The first call computes the stems of plan batches lo onward into one
-        (rows, channels) and one (rows, groups) array, in chunks of whole
-        batches; the rows of earlier batches stay unset, as no step reads
-        them again."""
+    def _chunks(self, lo: int, hi: int):
+        """Slices of plan batches lo … hi−1, of at most BLOCK_CHUNK_ROWS rows
+        (at least one batch) each."""
+        step = max(1, BLOCK_CHUNK_ROWS // len(self._plan[0]))
+        return (slice(a, min(a + step, hi)) for a in range(lo, hi, step))
+
+    def _stem(self, part) -> tuple:
+        """``(stem,)`` of plan batch ``part`` (an index) or of the stack of
+        plan batches ``part`` (a slice), or ``()`` on a network without
+        layers: the extra argument of a forward that starts from it. The
+        first call computes the stems of every plan batch into one (batches,
+        B, channels) and one (batches, B, groups) array, a chunk at a time."""
         if not self.net.layers:
             return ()
-        rows = self._rows
         if self._stems is None:
-            layer = self.net.layers[0]
-            normalized, inv_std = np.empty((rows[-1], layer.channels)), np.empty((rows[-1], layer.groups))
-            for a, b in _whole_batch_chunks(self._plan[lo:]):
-                part = slice(rows[lo + a], rows[lo + b])
-                normalized[part], inv_std[part] = forward_stem(self.net, self._plan[lo + a : lo + b])
-            self._stems = normalized, inv_std
-        return (tuple(s[rows[lo] : rows[hi]] for s in self._stems),)
+            layer, shape = self.net.layers[0], (len(self._plan), len(self._plan[0]))
+            self._stems = np.empty(shape + (layer.channels,)), np.empty(shape + (layer.groups,))
+            for chunk in self._chunks(0, len(self._plan)):
+                self._stems[0][chunk], self._stems[1][chunk] = forward_stem(self.net, np.stack(self._plan[chunk]))
+        return (tuple(s[part] for s in self._stems),)
 
     def _score_block(self, i: int) -> None:
         """Losses, predictions and confidences of plan batches i … i+2^m−1
-        after m idle steps, at the current parameters, in chunks of whole
-        batches, each from its stems."""
-        block = self._plan[i : i + (1 << self._idle_steps)]
-        if len(block) < 2:
+        after m idle steps, at the current parameters, a stack at a time,
+        each from its stems."""
+        end = min(i + (1 << self._idle_steps), len(self._plan))
+        if end - i < 2:
             return
-        for lo, hi in _whole_batch_chunks(block):
-            feats = forward_features_batch(self.net, np.concatenate(block[lo:hi]), *self._stem(i + lo, i + hi))
+        for chunk in self._chunks(i, end):
+            feats = forward_features_batch(self.net, np.stack(self._plan[chunk]), *self._stem(chunk))
             losses, _, probs = self.loss.value_and_pullback(feats)
-            parts = _split((losses, probs.argmax(axis=1), probs.max(axis=1)), block[lo:hi])
-            self._scores.update(zip(range(i + lo, i + hi), parts))
+            scores = zip(losses, probs.argmax(axis=-1), probs.max(axis=-1))
+            self._scores.update(zip(range(chunk.start, chunk.stop), scores))
 
     def adapt_step(self, inputs) -> StepReport:
         """Predict, score, select, and (maybe) update on one batch."""
@@ -429,10 +411,9 @@ class AdaptEngine:
         t0 = time.perf_counter()
         recipe = self.method.recipe
         i = self._next
-        on_plan = i < len(self._plan)
-        if on_plan and self._plan[i] is not inputs:
+        on_plan = i < len(self._plan) and self._plan[i] is inputs
+        if not on_plan and self._plan:
             self.replay(())  # any other input ends the plan
-            on_plan = False
         served = None
         if on_plan:
             self._next = i + 1
@@ -441,7 +422,7 @@ class AdaptEngine:
             served = self._scores.pop(i, None)
 
         if served is None:
-            feats, caches = forward_with_caches(self.net, X, *(self._stem(i, i + 1) if on_plan else ()))
+            feats, caches = forward_with_caches(self.net, X, *(self._stem(i) if on_plan else ()))
             losses, pullback, probs = self.loss.value_and_pullback(feats)
             predicted, confidence = probs.argmax(axis=1), probs.max(axis=1)
         else:
@@ -452,7 +433,7 @@ class AdaptEngine:
         steps_before = self.counters.n_optimizer_steps
         if n_selected > 0:
             if served is not None:
-                feats, caches = forward_with_caches(self.net, X, *self._stem(i, i + 1))
+                feats, caches = forward_with_caches(self.net, X, *self._stem(i))
                 pullback = self.loss.value_and_pullback(feats)[1]
             recipe.update(self, X, caches, pullback, selected, n_selected)
         updated = self.counters.n_optimizer_steps > steps_before

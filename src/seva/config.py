@@ -312,14 +312,26 @@ def resolve_config(raw: dict) -> RunConfig:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is an error, not an override."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not readable UTF-8 text: {exc}")
     return resolve_config(raw)
 
 

@@ -15,10 +15,10 @@ quadratic form ``a_i Sigma a_i^T`` in expectation, which yields:
 The two training losses are objects built once from a head (and, for
 the augmented entropy, a covariance): ``EntropyLoss`` and
 ``AugmentedEntropyLoss``. Their ``value_and_pullback`` scores an (n, d)
-batch of features and returns the per-sample losses, a pullback that
-forms the (n, d) feature gradients from the same intermediates, and the
-(n, C) plain-softmax probabilities, so a caller needs no second head pass
-or softmax. They are
+batch of features, or a (k, n, d) stack of batches over its last axis, and
+returns the per-sample losses, a pullback that forms the feature gradients
+from the same intermediates, and the plain-softmax probabilities, so a
+caller needs no second head pass or softmax. They are
 the only batch code for these quantities; the single-feature functions
 below wrap them.
 
@@ -152,7 +152,7 @@ def _check_sigma(head: ClassifierHead, sigma: DiagCovariance) -> None:
 
 def _feature_rows(head: ClassifierHead, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != head.feature_dim:
+    if Z.ndim not in (2, 3) or Z.shape[-1] != head.feature_dim:
         raise DimensionMismatch(
             f"feature batch has shape {Z.shape}, head expects (n, {head.feature_dim})"
         )
@@ -230,14 +230,14 @@ class EntropyLoss:
         exponentials and row sums."""
         Z = _feature_rows(self.head, Z)
         L = Z @ self.head.weights.T + self.head.biases
-        shifted = L - L.max(axis=1, keepdims=True)
+        shifted = L - L.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        row_sums = e.sum(axis=1, keepdims=True)
+        row_sums = e.sum(axis=-1, keepdims=True)
         logp = shifted - np.log(row_sums)  # log_softmax_rows(L), bit for bit
         p = np.exp(logp)
-        h = -(p * logp).sum(axis=1)
+        h = -(p * logp).sum(axis=-1)
         e /= row_sums  # softmax_rows(L), bit for bit
-        return h, lambda: (-p * (logp + h[:, None])) @ self.head.weights, e
+        return h, lambda: (-p * (logp + h[..., None])) @ self.head.weights, e
 
 
 # Rows holding an inner sum S below _S_UNDERFLOW are recomputed in the pair
@@ -304,18 +304,18 @@ class AugmentedEntropyLoss:
         Z = _feature_rows(self.head, Z)
         L = Z @ self.head.weights.T + self.head.biases
         shifted = L + self._half_q
-        shifted -= shifted.max(axis=1, keepdims=True)
+        shifted -= shifted.max(axis=-1, keepdims=True)
         eu = np.exp(shifted)
-        pbar = eu / eu.sum(axis=1, keepdims=True)  # softmax_rows(u), bit for bit
+        pbar = eu / eu.sum(axis=-1, keepdims=True)  # softmax_rows(u), bit for bit
         S_off = eu @ self._E_off
         S = S_off + eu * self._E_diag
         with np.errstate(divide="ignore"):  # S_off = 0 gives -inf, and log inner = 0
             log_ratio = np.log(S_off) - shifted + self._col_shift  # log(off-diagonal / diagonal)
         log_inner = np.maximum(log_ratio, 0.0) + np.log1p(np.exp(-np.abs(log_ratio)))
-        exact = np.flatnonzero((S < _S_UNDERFLOW).any(axis=1))
+        exact = (S < _S_UNDERFLOW).any(axis=-1)
         S[exact] = 1.0  # any nonzero value; the pullback takes these rows from the pair form
         log_inner[exact], R_exact = self._pair_form(L[exact], pbar[exact])
-        total = (pbar * log_inner).sum(axis=1, keepdims=True)
+        total = (pbar * log_inner).sum(axis=-1, keepdims=True)
 
         def pullback():
             Rpbar_minus_pbar = eu * ((pbar / S) @ self._E_off.T) - pbar * (S_off / S)
@@ -323,7 +323,7 @@ class AugmentedEntropyLoss:
             coeff = pbar * (log_inner - total) + Rpbar_minus_pbar
             return coeff @ self.head.weights
 
-        return total[:, 0], pullback, softmax_rows(L)
+        return total[..., 0], pullback, softmax_rows(L)
 
     def _pair_form(self, L, pbar):
         """Log inner sums and R pbar of the given logit rows, in the literal

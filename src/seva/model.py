@@ -20,10 +20,12 @@ np.repeat form bit for bit, without its per-call Python dispatch.
 
 Only the affine parameters adapt, so the first layer's linear map and its
 group-norm statistics depend on the input alone. ``forward_stem`` returns
-them for a run of batches as one "stem" (normalized values, 1/std), and
-``forward_with_caches`` / ``forward_features_batch`` can start from a
-batch's rows of it instead of recomputing them, with the same bits. A
-network without layers has no stem.
+them as a "stem" (normalized values, 1/std), and ``forward_with_caches`` /
+``forward_features_batch`` can start from a batch's stem instead of
+recomputing them, with the same bits. A network without layers has no stem.
+``forward_stem`` and ``forward_features_batch`` also take a (k, n, d_in)
+stack of equal batches: every step works over the leading axes and
+``matmul`` takes a stack slice by slice, so each batch gets its own bits.
 """
 
 from __future__ import annotations
@@ -130,24 +132,20 @@ def build_network(
 
 
 def _forward(net: ToyNetwork, X, keep_caches: bool, stem=None, stem_only: bool = False):
-    """Features and caches of the (n, d_in) batch X, the first layer's group
-    norm taken from ``stem`` when one is given. With ``stem_only``, X is a
-    list of batches and the result is their stem: each batch's linear map
-    on its own rows, as its own forward computes it (BLAS may round a row
-    differently with the row count), the statistics over all rows at once."""
+    """Features and caches of the batch or stack X, the first layer's group
+    norm taken from ``stem`` when one is given; with ``stem_only``, X's stem."""
     act, _ = ACTIVATIONS[net.activation]
     caches: list[LayerCache] = []
     v = X
     for layer in net.layers:
         if stem is None:
-            h = np.concatenate([b @ layer.weight.T for b in v]) if stem_only else v @ layer.weight.T
-            n, c = h.shape
-            k = c // layer.groups
-            grouped = h.reshape(n, layer.groups, k)
-            dev = grouped - np.add.reduce(grouped, axis=2, keepdims=True) / k
-            var = np.add.reduce(dev * dev, axis=2) / k  # population variance
+            h = v @ layer.weight.T
+            k = h.shape[-1] // layer.groups
+            grouped = h.reshape(*h.shape[:-1], layer.groups, k)
+            dev = grouped - np.add.reduce(grouped, axis=-1, keepdims=True) / k
+            var = np.add.reduce(dev * dev, axis=-1) / k  # population variance
             inv = 1.0 / np.sqrt(var + NORM_EPS)
-            normalized = (dev * inv[:, :, None]).reshape(n, c)
+            normalized = (dev * inv[..., None]).reshape(h.shape)
             if stem_only:
                 return normalized, inv
         else:
@@ -168,28 +166,33 @@ def check_input(net: ToyNetwork, X) -> np.ndarray:
     return X
 
 
-def forward_stem(net: ToyNetwork, batches: list) -> tuple[np.ndarray, np.ndarray]:
-    """The first layer's (n, c) group-normalized values and (n, groups)
-    1/std of the rows of a list of (n_i, d_in) input batches, in order:
-    all of their forward that the adaptable parameters do not touch, with
-    the bits of each batch's own forward."""
-    batches = [check_input(net, b) for b in batches]
+def _check_inputs(net: ToyNetwork, X) -> np.ndarray:
+    """X as a float64 (n, d_in) batch or (k, n, d_in) stack of batches."""
+    X = np.asarray(X, dtype=np.float64)
+    return X if X.ndim == 3 and X.shape[-1] == net.d_in else check_input(net, X)
+
+
+def forward_stem(net: ToyNetwork, X) -> tuple[np.ndarray, np.ndarray]:
+    """The first layer's group-normalized values (..., c) and 1/std
+    (..., groups) of a batch or stack X: all of its forward that the
+    adaptable parameters do not touch, with the bits of its own forward."""
+    X = _check_inputs(net, X)
     if not net.layers:
         raise ValueError("a network without layers has no stem")
-    return _forward(net, batches, keep_caches=False, stem_only=True)
+    return _forward(net, X, keep_caches=False, stem_only=True)
 
 
 def _check_stem(net: ToyNetwork, X: np.ndarray, stem) -> None:
-    if not net.layers or stem[0].shape != (X.shape[0], net.layers[0].channels):
+    if not net.layers or stem[0].shape != X.shape[:-1] + (net.layers[0].channels,):
         raise DimensionMismatch(
             f"stem of shape {stem[0].shape} does not fit an input batch of shape {X.shape}"
         )
 
 
 def forward_features_batch(net: ToyNetwork, X, stem=None) -> np.ndarray:
-    """(n, d) features for an (n, d_in) input batch, from its ``forward_stem``
+    """(..., d) features of a batch or stack X, from its ``forward_stem``
     when one is given."""
-    X = check_input(net, X)
+    X = _check_inputs(net, X)
     if stem is not None:
         _check_stem(net, X, stem)
     feats, _ = _forward(net, X, keep_caches=False, stem=stem)

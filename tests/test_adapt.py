@@ -535,29 +535,53 @@ class TestLookAhead:
 
     @pytest.mark.parametrize("config", ["committed_scenario.json", "example_run.json"])
     def test_whole_stream_block_matches_batch_by_batch_bits(self, config):
-        # BLAS may choose its kernel by row count, so this is the gate for
-        # serving steps from a block
+        # a stack of batches gets each batch's own bits because numpy's matmul
+        # takes a stack slice by slice; were a stack fused into one product,
+        # BLAS could round a row differently with the row count (at inner
+        # sizes >= 32 and for 1-row batches, which the next test covers)
         cfg = load_config(CONFIGS_DIR / config)
         world, net, _ = build_world_and_model(cfg)
-        X = np.concatenate([b.inputs for b in build_stream(cfg, world, cfg.seeds[0])])
-        X[5] = np.nan
-        X[40] = 0.25  # a constant row: zero variance in every group
-        B = cfg.tree["stream"]["batch_size"]
-        sigma = calibrate_covariance(net, X[B:][: cfg.calibration_samples], 1.5)  # past the NaN row
+        X = np.stack([b.inputs for b in build_stream(cfg, world, cfg.seeds[0])])
+        X[0, 5] = np.nan
+        X[1, 8] = 0.25  # a constant row: zero variance in every group
+        sigma = calibrate_covariance(net, X[1:].reshape(-1, net.d_in)[: cfg.calibration_samples], 1.5)  # past the NaN row
         feats = forward_features_batch(net, X)
-        per_batch = np.concatenate([forward_features_batch(net, X[i : i + B]) for i in range(0, len(X), B)])
+        per_batch = np.stack([forward_features_batch(net, batch) for batch in X])
         assert feats.tobytes() == per_batch.tobytes()
         for loss in (EntropyLoss(net.head), AugmentedEntropyLoss(net.head, sigma)):
             with np.errstate(invalid="ignore"):
                 block = loss.value_and_pullback(feats)
-                parts = [loss.value_and_pullback(per_batch[i : i + B]) for i in range(0, len(X), B)]
+                parts = [loss.value_and_pullback(f) for f in per_batch]
             for k in (0, 2):  # losses, probabilities
-                assert block[k].tobytes() == np.concatenate([p[k] for p in parts]).tobytes()
-            assert np.isnan(block[0][5]) and np.isfinite(block[0][np.arange(len(X)) != 5]).all()
+                assert block[k].tobytes() == np.stack([p[k] for p in parts]).tobytes()
+            assert np.isnan(block[0][0, 5]) and np.isfinite(np.delete(block[0], 5)).all()
         # and for starting the block's forward from its batches' stems
         with np.errstate(invalid="ignore"):
-            stem = forward_stem(net, [X[i : i + B] for i in range(0, len(X), B)])
+            stem = forward_stem(net, X)
         assert forward_features_batch(net, X, stem).tobytes() == feats.tobytes()
+
+    @pytest.mark.parametrize("kind", ["no_adapt", "seva"])
+    @pytest.mark.parametrize(
+        "d, B, C, groups",
+        [(32, 32, 10, 4), (33, 32, 10, 3), (16, 1, 10, 4), (64, 64, 100, 8)],
+        ids=["d32", "d33", "1-row", "wide"],
+    )
+    def test_run_stream_matches_plain_steps_at_every_shape(self, d, B, C, groups, kind):
+        # inner sizes >= 32 and 1-row batches are where BLAS rounds a row
+        # differently with the row count; blocks of up to 16 batches are scored
+        net = build_network(seed=30, d_in=d, d=d, C=C, n_layers=2, groups=groups)
+        stream = stream_of([B] * 40, seed=31, d_in=d)
+        method = MethodConfig(kind=kind, threshold_rho=0.01)  # seva selects nothing
+        ahead, plain = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
+        if method.needs_sigma:
+            for e in (ahead, plain):
+                e.calibrate(stream_of([64], seed=32, d_in=d)[0].inputs)
+        trace = run_stream(ahead, stream)
+        reports = [plain.adapt_step(b.inputs) for b in stream]
+        assert not any(r.n_selected for r in reports)
+        assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in reports]
+        assert ahead.counters == plain.counters
+        assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_run_stream_matches_plain_steps_for_every_kind(self, monkeypatch, seed):
@@ -678,7 +702,7 @@ def spy_forwards(monkeypatch):
     for name in ("forward_with_caches", "forward_features_batch"):
 
         def spied(net, X, stem=None, _name=name, _forward=getattr(seva.adapt, name)):
-            calls.append((_name, len(X), stem is not None))
+            calls.append((_name, math.prod(X.shape[:-1]), stem is not None))  # rows, of a batch or a stack
             return _forward(net, X, stem)
 
         monkeypatch.setattr(seva.adapt, name, spied)
@@ -701,9 +725,9 @@ class TestStemWindow:
         rows = []
         stem = seva.adapt.forward_stem
 
-        def counted(net, batches):
-            rows.append(sum(map(len, batches)))
-            return stem(net, batches)
+        def counted(net, X):
+            rows.append(math.prod(X.shape[:-1]))  # rows of the stack
+            return stem(net, X)
 
         monkeypatch.setattr(seva.adapt, "forward_stem", counted)
         return rows
@@ -809,11 +833,11 @@ class TestStemWindow:
         with pytest.raises(DimensionMismatch if bad.size and bad.dtype.kind == "f" else ValueError, match=match):
             run_stream(engine, stream)
         assert engine.counters.n_forward == 6 * 8
-        # the plan ends before a batch that is not a numeric (n, d_in) array
-        assert stem_rows == ([96] if bad.shape == (0, 6) else [48])
+        # the plan ends before a batch that is not a numeric array of its shape
+        assert stem_rows == [48]
 
     def test_no_stem_outlives_its_plan(self, monkeypatch):
-        # every stem a forward gets is a row slice of one of the plan's two
+        # every stem a forward gets is a slice of one of the plan's two
         # stem arrays, so a weak reference to its base shows when the engine
         # lets them go
         bases = {}
@@ -830,9 +854,8 @@ class TestStemWindow:
             return len(bases) == 2 and all(ref() is None for ref in bases.values())
 
         net, _ = small_setup(seed=24)
-        # a 1-row batch's linear map takes another BLAS kernel, so its stem
-        # must come from its own rows
-        stream = stream_of([5, 13, 40, 1, 60, 7, 7, 30] * 4)
+        # the plan is the first 24 batches; the rest step off it, causally
+        stream = stream_of([8] * 24 + [5, 13, 40, 1, 60, 7, 7, 30])
         method = MethodConfig(kind="tent", lr=0.05)
         engine = AdaptEngine(copy.deepcopy(net), method)
         trace = run_stream(engine, stream)
@@ -846,6 +869,13 @@ class TestStemWindow:
         assert len(bases) == 2 and not released()  # held while the plan lasts
         engine.adapt_step(stream[1].inputs.copy())
         assert released()  # by an off-plan input
+
+        bases.clear()
+        engine.replay([stream[0].inputs])
+        engine.adapt_step(stream[0].inputs)
+        assert len(bases) == 2 and not released()  # held at the plan's last batch
+        engine.adapt_step(stream[1].inputs)
+        assert released()  # by an input past the plan's end
 
         bases.clear()
         with pytest.raises(DimensionMismatch):
@@ -876,9 +906,9 @@ class TestStemWindow:
         monkeypatch.setattr(seva.adapt, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
         stem = seva.adapt.forward_stem
 
-        def slow(net, batches):
+        def slow(net, X):
             clock[0] += 1.0
-            return stem(net, batches)
+            return stem(net, X)
 
         monkeypatch.setattr(seva.adapt, "forward_stem", slow)
         net, _ = small_setup(seed=26)

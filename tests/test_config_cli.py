@@ -120,6 +120,25 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_exit_two_names_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + json.dumps(SMALL).encode("utf-16-le"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and str(path) in err
+
+    def test_duplicate_key_exit_two_names_key(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"stream": {"n_batches": 3, "n_batches": 2}}')
+        with pytest.raises(ConfigError, match="duplicate key 'n_batches'"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("invalid config: duplicate key 'n_batches'")
+
 
 
 def leaf_paths(tree, prefix=()):

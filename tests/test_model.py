@@ -416,18 +416,17 @@ class TestGroupNormKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(group_norm_case(), st.sampled_from([1, 2, 3, 7, 20]))
-    def test_forward_from_the_stem_matches_the_full_forward(self, case, cut):
-        # each batch's rows of a run's stem are its own first-layer group
-        # norm, also for a 1-row batch, whose linear map BLAS rounds apart
+    def test_forward_from_the_stem_matches_the_full_forward(self, case, size):
+        # each batch's slice of a stack's stem is its own first-layer group
+        # norm, also for 1-row batches, whose linear map BLAS rounds apart
         net, X, _, _, _ = case
-        batches = [X[:cut], X[cut:]] if cut < len(X) else [X]
+        B = min(size, len(X))
+        stack = X[: len(X) // B * B].reshape(-1, B, X.shape[1])
         with np.errstate(invalid="ignore"):
-            normalized, inv_std = forward_stem(net, batches)
-            start = 0
-            for batch in batches:
-                rows = slice(start, start + len(batch))
-                start = rows.stop
-                stem = (normalized[rows], inv_std[rows])
+            stems = forward_stem(net, stack)
+            assert all(same_bits(a[0], b) for a, b in zip(stems, forward_stem(net, stack[0])))
+            for j, batch in enumerate(stack):
+                stem = (stems[0][j], stems[1][j])
                 feats, caches = forward_with_caches(net, batch)
                 got, got_caches = forward_with_caches(net, batch, stem)
                 assert same_bits(stem[0], caches[0].normalized) and same_bits(stem[1], caches[0].inv_std)
@@ -439,13 +438,17 @@ class TestGroupNormKernel:
     def test_a_stem_must_fit_its_batch(self):
         net = build_network(seed=7, d_in=6, d=6, C=3, n_layers=2, groups=2)
         X = np.random.default_rng(9).standard_normal((5, 6))
-        stem = forward_stem(net, [X])
+        stem = forward_stem(net, X)
         for forward in (forward_with_caches, forward_features_batch):
             with pytest.raises(DimensionMismatch, match="stem"):
                 forward(net, X[:4], stem)
+        with pytest.raises(DimensionMismatch, match="stem"):
+            forward_features_batch(net, np.stack([X, X]), stem)  # a batch's stem for a stack
+        with pytest.raises(DimensionMismatch, match=r"\(2, 5, 5\)"):
+            forward_stem(net, np.zeros((2, 5, 5)))  # a stack of the wrong width
         identity = build_network(seed=7, d_in=6, d=6, C=3, n_layers=0, groups=2)
         with pytest.raises(ValueError, match="no stem"):
-            forward_stem(identity, [X])
+            forward_stem(identity, X)
         with pytest.raises(DimensionMismatch, match="stem"):
             forward_with_caches(identity, X, stem)
 
