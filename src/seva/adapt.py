@@ -25,24 +25,26 @@ samples. Selection is strict: a sample trains only if its loss is
 evaluator that compares the engine's pre-update predictions against the
 hidden labels.
 
-``run_stream`` first hands the engine the inputs of its whole stream, with
-``replay(inputs)``; ``adapt_step(inputs)`` alone is the causal API. The
-plan is the leading run of non-empty numeric batches of the first batch's
-shape. A step is on the plan iff its input is the plan's next batch (the
-same object); any other input ends the plan. On the plan the engine reuses
-two kinds of work on (batches, B, ·) stacks, each batch of a stack with
-the bits of its own step. Group norm is per sample, so a sample's feature,
-loss and prediction do not depend on the rows scored beside it: after m
-steps in a row without an update, an on-plan step with no score scores the
-next 2^m plan batches as one block (capped at the plan's end; a single
-batch is no block), and later steps are served from it until an update or
-``calibrate`` drops the scores. A served batch that selects samples runs
-its forward pass and loss again, at the same parameters, for the caches
-its update needs. Only the group-norm affine adapts, so each batch's
-first-layer "stem" (``model.forward_stem``) depends on its input alone: the
-plan's first forward pass computes the stems of every plan batch, and every
-forward on the plan starts from them. They are held, across updates, until
-the plan ends. The step that does the work is charged for it.
+``run_stream`` reads its stream once. A sequence has a known future: its
+inputs go to the engine first, with ``replay(inputs)``. Any other iterable
+is stepped batch by batch as it arrives, with no plan;
+``adapt_step(inputs)`` alone is the causal API. The plan is the leading
+run of non-empty numeric batches of the first batch's shape. A step is on
+the plan iff its input is the plan's next batch (the same object); any
+other input ends the plan. On the plan the engine reuses two kinds of work
+on (batches, B, ·) stacks, each batch of a stack with the bits of its own
+step. Group norm is per sample, so a sample's feature, loss and prediction
+do not depend on the rows scored beside it: after m steps in a row without
+an update, an on-plan step with no score scores the next 2^m plan batches
+as one block (capped at the plan's end; a single batch is no block), and
+later steps are served from it until an update or ``calibrate`` drops the
+scores. A served batch that selects samples runs its forward pass and loss
+again, at the same parameters, for the caches its update needs. Only the
+group-norm affine adapts, so each batch's first-layer "stem"
+(``model.forward_stem``) depends on its input alone: the plan's first
+forward pass computes the stems of every plan batch, and every forward on
+the plan starts from them. They are held, across updates, until the plan
+ends. The step that does the work is charged for it.
 ``Counters.n_forward`` counts each scored sample once, at the step that
 reports it; block rows that an update drops are not counted.
 """
@@ -52,6 +54,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Callable
@@ -75,7 +78,6 @@ from .rng import substream
 
 __all__ = [
     "MethodConfig",
-    "OptimizerState",
     "StepReport",
     "RunTrace",
     "Counters",
@@ -193,6 +195,9 @@ class MethodConfig:
             raise ValueError(f"lr must be finite and > 0 for method '{self.kind}', got {self.lr}")
         if recipe.update is not None and not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1) for method '{self.kind}', got {self.momentum}")
+        for key in ("lr", "momentum"):  # finite for every kind, so a resolved config is strict JSON
+            if not -math.inf < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not 0 <= self.sigma_scale < math.inf:
             raise ValueError(f"sigma_scale must be finite and >= 0, got {self.sigma_scale}")
         if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
@@ -211,17 +216,6 @@ class MethodConfig:
     @property
     def needs_sigma(self) -> bool:
         return self.recipe.needs_sigma
-
-
-@dataclass
-class OptimizerState:
-    """Momentum buffer, shaped like the flat adaptable-parameter vector."""
-
-    velocity: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: np.ndarray) -> "OptimizerState":
-        return cls(np.zeros_like(params))
 
 
 @dataclass
@@ -253,13 +247,12 @@ class RunTrace:
 
     steps: list[StepReport] = field(default_factory=list)
     labels: list[np.ndarray] = field(default_factory=list)
-    n_samples: int = 0
-    n_correct: int = 0
     wall_time: float = 0.0
 
     @property
     def accuracy(self) -> float:
-        return self.n_correct / self.n_samples if self.n_samples else 0.0
+        """Share of pre-update predictions that match the labels."""
+        return float(np.mean(self.concat("predicted") == np.concatenate(self.labels))) if self.steps else 0.0
 
     def concat(self, attr: str) -> np.ndarray:
         return np.concatenate([getattr(s, attr) for s in self.steps])
@@ -278,24 +271,24 @@ def threshold_default(C: int, rho: float) -> float:
 def sgd_momentum_step(
     params: np.ndarray,
     grads: np.ndarray,
-    state: OptimizerState,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
-) -> tuple[np.ndarray, OptimizerState]:
-    """v <- momentum * v + g; theta <- theta - lr * v. No dampening, no Nesterov."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """v <- momentum * v + g; theta <- theta - lr * v; returns (theta, v).
+    No dampening, no Nesterov."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.velocity.shape:
+    if params.shape != grads.shape or params.shape != velocity.shape:
         raise ValueError(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, "
-            f"velocity {state.velocity.shape}"
+            f"shape mismatch: params {params.shape}, grads {grads.shape}, velocity {velocity.shape}"
         )
-    velocity = momentum * state.velocity + grads
-    return params - lr * velocity, OptimizerState(velocity)
+    velocity = momentum * velocity + grads
+    return params - lr * velocity, velocity
 
 
 class AdaptEngine:
-    """Owns one network, one optimizer state, and one method for a run.
+    """Owns one network, its momentum buffer, and one method for a run.
 
     The covariance enters only through ``sigma=`` or ``calibrate()``; either
     one builds the method's loss object, which then scores every batch.
@@ -311,7 +304,7 @@ class AdaptEngine:
         self.net = net
         self.method = method
         self.threshold = threshold_default(net.head.n_classes, method.threshold_rho)
-        self.opt_state = OptimizerState.zeros_like(adaptable_params(net))
+        self.velocity = np.zeros_like(adaptable_params(net))  # momentum buffer, shaped like the flat parameters
         self.counters = Counters()
         self._va_rng = substream(seed, "vicinal-rounds")
         self._idle_steps = 0  # steps in a row without an update
@@ -344,8 +337,8 @@ class AdaptEngine:
         if not np.isfinite(grads).all():
             return
         params = adaptable_params(self.net)
-        new_params, self.opt_state = sgd_momentum_step(
-            params, grads, self.opt_state, self.method.lr, self.method.momentum
+        new_params, self.velocity = sgd_momentum_step(
+            params, grads, self.velocity, self.method.lr, self.method.momentum
         )
         set_adaptable_params(self.net, new_params)
         self.counters.n_optimizer_steps += 1
@@ -455,28 +448,33 @@ class AdaptEngine:
 
 
 def run_stream(engine: AdaptEngine, stream) -> RunTrace:
-    """Single ordered pass; online accuracy from pre-update predictions.
+    """Single ordered pass that reads ``stream`` once; online accuracy from
+    pre-update predictions.
 
     ``stream`` yields batches exposing ``inputs`` and ``labels``; only the
-    inputs ever reach the engine: all of them at once through
-    ``engine.replay``, which lets it reuse scores and stems (see the module
-    docstring), then one ``adapt_step`` call per batch, in order. The plan
-    ends with the stream, so the engine holds no stem past it.
+    inputs ever reach the engine, one ``adapt_step`` call per batch, in
+    order. A ``Sequence`` first hands all of them to ``engine.replay``, which
+    lets the engine reuse scores and stems (see the module docstring); the
+    plan ends with the stream, so the engine holds no stem past it. Any
+    other iterable is stepped as it arrives, with no plan:
+    ``run_stream(engine, iter(stream))`` is the causal pass. The trace keeps
+    its own copy of each batch's labels, so a loader may reuse its buffers;
+    a batch without one label per input fails at its own step.
     """
     if engine.method.needs_sigma and engine.sigma is None:
         raise RuntimeError(f"method '{engine.method.kind}' requires calibration before streaming")
-    batches = list(stream)
-    engine.replay([b.inputs for b in batches])
+    if isinstance(stream, Sequence):
+        engine.replay([b.inputs for b in stream])
     trace = RunTrace()
     t0 = time.perf_counter()
     try:
-        for batch in batches:
+        for batch in stream:
             report = engine.adapt_step(batch.inputs)
-            labels = np.asarray(batch.labels)
+            labels = np.array(batch.labels)
+            if labels.shape != report.predicted.shape:  # accuracy pairs them up across the whole stream
+                raise ValueError(f"step {len(trace.steps)}: {labels.shape} labels for {len(report.predicted)} inputs")
             trace.steps.append(report)
             trace.labels.append(labels)
-            trace.n_samples += labels.shape[0]
-            trace.n_correct += int((report.predicted == labels).sum())
         trace.wall_time = time.perf_counter() - t0
     finally:
         engine.replay(())

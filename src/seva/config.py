@@ -239,6 +239,9 @@ class RunConfig:
 def resolve_config(raw: dict) -> RunConfig:
     """Validate a raw tree, fill every default, and run basic sanity checks."""
     tree = _merge(raw, _TOP_DEFAULTS, "")
+    for m in tree["methods"]:
+        if m["threshold_rho"] == math.inf:
+            m["threshold_rho"] = None  # unbounded, written as null: the tree dumps as strict JSON
     seeds = tree["seeds"]  # a list: _merge checked the type
     _require(seeds and all(type(s) is int for s in seeds), "seeds", "must be a non-empty list of integers")
     _require(len(set(seeds)) == len(seeds), "seeds", f"duplicate seed in {seeds}")
@@ -336,7 +339,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def canonical_json(tree: dict) -> str:
-    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -284,7 +284,7 @@ def write_csv(rows: list[dict], path: Path) -> None:
 
 def write_resolved_config(cfg: RunConfig, out: Path) -> Path:
     path = out / "resolved_config.json"
-    path.write_text(json.dumps(cfg.tree, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(cfg.tree, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import RunTrace, sgd_momentum_step, OptimizerState
+from .adapt import RunTrace, sgd_momentum_step
 from .core_math import ClassifierHead, softmax_rows
 from .model import ToyNetwork, forward_features_batch
 from .rng import substream
@@ -330,7 +330,7 @@ def fit_head(
     b = -0.5 * (means * means).sum(axis=1)
 
     params = np.concatenate([A.ravel(), b])
-    state = OptimizerState.zeros_like(params)
+    velocity = np.zeros_like(params)
     n = F.shape[0]
     rows = np.arange(n)
     for _ in range(refine_steps):
@@ -342,9 +342,7 @@ def fit_head(
         G[rows, y_train] -= 1.0  # softmax minus one-hot labels, the residual
         gA = G.T @ F / n + weight_decay * A
         gb = G.mean(axis=0)
-        params, state = sgd_momentum_step(
-            params, np.concatenate([gA.ravel(), gb]), state, lr, momentum
-        )
+        params, velocity = sgd_momentum_step(params, np.concatenate([gA.ravel(), gb]), velocity, lr, momentum)
     head = ClassifierHead(params[: C * d].reshape(C, d), params[C * d :])
 
     y_eval = np.repeat(np.arange(C), n_eval_per_class)

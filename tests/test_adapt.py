@@ -17,7 +17,6 @@ from seva.adapt import (
     RECIPES,
     AdaptEngine,
     MethodConfig,
-    OptimizerState,
     run_stream,
     sgd_momentum_step,
     threshold_default,
@@ -113,31 +112,29 @@ class TestSgdMomentum:
     def test_zero_momentum_is_plain_sgd(self):
         params = np.array([1.0, -2.0])
         grads = np.array([0.5, 0.25])
-        state = OptimizerState.zeros_like(params)
-        new, state = sgd_momentum_step(params, grads, state, lr=1.0, momentum=0.0)
+        new, _ = sgd_momentum_step(params, grads, np.zeros_like(params), lr=1.0, momentum=0.0)
         np.testing.assert_array_equal(new, params - grads)
 
     def test_velocity_decays_geometrically(self):
         params = np.zeros(3)
-        state = OptimizerState(np.array([1.0, 2.0, -1.0]))
+        velocity = np.array([1.0, 2.0, -1.0])
         for _ in range(5):
-            prev = state.velocity.copy()
-            params, state = sgd_momentum_step(params, np.zeros(3), state, 0.1, 0.9)
-            np.testing.assert_allclose(state.velocity, 0.9 * prev, rtol=1e-15)
+            prev = velocity
+            params, velocity = sgd_momentum_step(params, np.zeros(3), velocity, 0.1, 0.9)
+            np.testing.assert_allclose(velocity, 0.9 * prev, rtol=1e-15)
 
     def test_two_steps_constant_gradient(self):
         # v1 = g, step 0.1 g; v2 = 1.9 g, step 0.19 g
         params = np.array([1.0])
         g = np.array([2.0])
-        state = OptimizerState.zeros_like(params)
-        p1, state = sgd_momentum_step(params, g, state, 0.1, 0.9)
+        p1, velocity = sgd_momentum_step(params, g, np.zeros_like(params), 0.1, 0.9)
         assert p1[0] == pytest.approx(1.0 - 0.1 * 2.0)
-        p2, state = sgd_momentum_step(p1, g, state, 0.1, 0.9)
+        p2, velocity = sgd_momentum_step(p1, g, velocity, 0.1, 0.9)
         assert p2[0] == pytest.approx(p1[0] - 0.19 * 2.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_momentum_step(np.zeros(3), np.zeros(2), OptimizerState(np.zeros(3)), 0.1, 0.9)
+            sgd_momentum_step(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.9)
 
 
 class TestMethodConfig:
@@ -154,9 +151,14 @@ class TestMethodConfig:
         {"lr": float("inf")}, {"momentum": float("nan")}, {"momentum": -3.0}, {"momentum": 1.0},
     ])
     def test_update_hyperparameters_in_range(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
+        (key, value), = kwargs.items()
+        with pytest.raises(ValueError, match=key):
             MethodConfig(kind="tent", **kwargs)
-        MethodConfig(kind="no_adapt", **kwargs)  # never updates, so never reads them
+        if math.isfinite(value):
+            MethodConfig(kind="no_adapt", **kwargs)  # never updates, so any finite value will do
+        else:
+            with pytest.raises(ValueError, match=f"{key} must be finite"):  # a resolved config is strict JSON
+                MethodConfig(kind="no_adapt", **kwargs)
 
     @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
     def test_sigma_scale_finite_and_non_negative(self, scale):
@@ -360,10 +362,10 @@ class TestExplicitVa:
         net2, _ = small_setup(seed=7)
         from seva.model import set_adaptable_params
 
-        state = OptimizerState.zeros_like(adaptable_params(net2))
+        velocity = np.zeros_like(adaptable_params(net2))
         for _ in range(2):
             g = grad_loss_wrt_adaptable(net2, X, EntropyLoss(net2.head))
-            new, state = sgd_momentum_step(adaptable_params(net2), g, state, 0.01, 0.9)
+            new, velocity = sgd_momentum_step(adaptable_params(net2), g, velocity, 0.01, 0.9)
             set_adaptable_params(net2, new)
         np.testing.assert_allclose(got, adaptable_params(net2), atol=1e-12)
 
@@ -382,7 +384,7 @@ class TestRunStream:
             correct += int((pred == b.labels).sum())
             total += len(b.labels)
         assert trace.accuracy == correct / total
-        assert trace.n_samples == total
+        assert sum(map(len, trace.labels)) == total
 
     def test_identical_seeds_identical_traces(self):
         traces = []
@@ -432,6 +434,36 @@ class TestRunStream:
         assert seva.counters.n_backward <= tent.counters.n_backward
         assert seva.counters.n_optimizer_steps <= tent.counters.n_optimizer_steps
 
+    @pytest.mark.parametrize("n_labels", [1, 7])
+    def test_a_batch_carries_one_label_per_input(self, n_labels):
+        # accuracy pairs predictions and labels across the whole stream, so a
+        # short batch would shift every later pair (or broadcast, with one label)
+        net, stream = small_setup(seed=34)
+        stream[2] = Batch(stream[2].inputs, stream[2].labels[:n_labels])
+        stream[3] = Batch(stream[3].inputs, np.concatenate([stream[3].labels, [0] * (8 - n_labels)]))
+        engine = AdaptEngine(net, MethodConfig(kind="no_adapt"))
+        with pytest.raises(ValueError, match=rf"step 2: \({n_labels},\) labels for 8 inputs"):
+            run_stream(engine, stream)
+        assert engine.counters.n_forward == 3 * 8
+
+    @pytest.mark.parametrize("kind", ["no_adapt", "tent"])
+    def test_a_loader_that_refills_its_buffers_is_read_as_it_arrives(self, kind):
+        # each batch is stepped and its labels kept before the next refill
+        net, stream = small_setup(seed=33)
+
+        def refilled():
+            inputs, labels = np.empty_like(stream[0].inputs), np.empty_like(stream[0].labels)
+            for b in stream:
+                inputs[...], labels[...] = b.inputs, b.labels
+                yield Batch(inputs, labels)
+
+        method = MethodConfig(kind=kind, lr=0.05)
+        listed = run_stream(AdaptEngine(copy.deepcopy(net), method), stream)
+        loaded = run_stream(AdaptEngine(copy.deepcopy(net), method), refilled())
+        assert [report_bytes(r) for r in loaded.steps] == [report_bytes(r) for r in listed.steps]
+        assert [y.tobytes() for y in loaded.labels] == [y.tobytes() for y in listed.labels]
+        assert loaded.accuracy == listed.accuracy
+
 
 class TestNonFiniteGradient:
     """A non-finite gradient skips its optimizer step: parameters, momentum
@@ -448,7 +480,7 @@ class TestNonFiniteGradient:
         if engine.method.needs_sigma:
             engine.calibrate(np.concatenate([b.inputs for b in stream[:3]]))
         reports = [engine.adapt_step(b.inputs) for b in stream[:3]]
-        params, velocity = adaptable_params(net), engine.opt_state.velocity.copy()
+        params, velocity = adaptable_params(net), engine.velocity.copy()
         steps = engine.counters.n_optimizer_steps
         reports.append(engine.adapt_step(stream[3].inputs))
         assert np.isnan(reports[3].losses[5])
@@ -456,7 +488,7 @@ class TestNonFiniteGradient:
             # tent selects the NaN sample, so the batch gradient is NaN: skipped
             assert reports[3].updated is False
             np.testing.assert_array_equal(adaptable_params(net), params)
-            np.testing.assert_array_equal(engine.opt_state.velocity, velocity)
+            np.testing.assert_array_equal(engine.velocity, velocity)
             assert engine.counters.n_optimizer_steps == steps
         else:
             # a NaN loss is never below the threshold: the 7 finite samples train
@@ -489,7 +521,7 @@ class TestNonFiniteGradient:
         assert rep.updated is True
         assert engine.counters.n_optimizer_steps == 2
         assert np.isfinite(adaptable_params(net)).all()
-        assert np.isfinite(engine.opt_state.velocity).all()
+        assert np.isfinite(engine.velocity).all()
 
 
 class TestConfusingFamilyMonotonicity:
@@ -715,9 +747,9 @@ def stream_of(sizes, seed=20, d_in=6):
 
 
 class TestStemWindow:
-    """The stem window is the plan: its first forward computes the stems of
-    every plan batch, once, and every forward on the plan starts from them,
-    with the bits of forwards from the inputs."""
+    """A replay plan's first forward computes the stems of every plan batch,
+    once, and every forward on the plan starts from them, with the bits of
+    forwards from the inputs. A stream that is not a sequence makes no plan."""
 
     @pytest.fixture
     def stem_rows(self, monkeypatch):
@@ -746,7 +778,7 @@ class TestStemWindow:
         assert adaptable_params(ahead.net).tobytes() == adaptable_params(plain.net).tobytes()
         assert stem_rows == ([] if n_layers == 0 else [240])  # every plan batch's stem, once
 
-    def test_a_window_spans_updates_and_keeps_its_stems(self, monkeypatch, stem_rows):
+    def test_a_plan_spans_updates_and_keeps_its_stems(self, monkeypatch, stem_rows):
         # updates at steps 1, 2 and 5; steps 1, 4 and 5 are served from blocks
         thresholds = (0.0, math.inf, math.inf, 0.0, 0.0, math.inf)
         net, stream = small_setup(seed=19)
@@ -775,6 +807,32 @@ class TestStemWindow:
             want.append(plain.adapt_step(batch.inputs))
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
+
+    def test_an_iterator_makes_no_plan(self, monkeypatch, stem_rows):
+        # run_stream(engine, iter(stream)) is the causal pass: no batch
+        # reaches the engine before its own step, and the bits are the same
+        cfg = resolve_config(DIGEST_GRID)
+        world, net, _ = build_world_and_model(cfg)
+        stream = build_stream(cfg, world, 0)
+        forwards = spy_forwards(monkeypatch)
+        for name, method in cfg.methods():
+            ahead, causal = (
+                AdaptEngine(copy.deepcopy(net), method, seed=derive_seed(cfg.master_seed, "engine", 0, name))
+                for _ in range(2)
+            )
+            if method.needs_sigma:
+                for e in (ahead, causal):
+                    e.calibrate(np.concatenate([b.inputs for b in stream])[: cfg.calibration_samples])
+            planned = run_stream(ahead, stream)
+            assert stem_rows
+            forwards.clear()
+            stem_rows.clear()
+            trace = run_stream(causal, iter(stream))
+            assert stem_rows == []
+            assert forwards and all(fn == "forward_with_caches" and not from_stem for fn, _, from_stem in forwards)
+            assert [report_bytes(r) for r in trace.steps] == [report_bytes(r) for r in planned.steps]
+            assert causal.counters == ahead.counters
+            assert adaptable_params(causal.net).tobytes() == adaptable_params(ahead.net).tobytes()
 
     def test_served_steps_compute_no_stem(self, monkeypatch, stem_rows):
         thresholds = (0.0,) * 5 + (math.inf,) * 3  # selects nothing, then everything
@@ -805,7 +863,7 @@ class TestStemWindow:
         assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
         assert adaptable_params(engine.net).tobytes() == adaptable_params(plain.net).tobytes()
 
-    def test_other_input_drops_the_window(self, monkeypatch, stem_rows):
+    def test_other_input_drops_the_plan_stems(self, monkeypatch, stem_rows):
         net, stream = small_setup(seed=22)
         method = MethodConfig(kind="tent", lr=0.05)
         engine, fresh = AdaptEngine(copy.deepcopy(net), method), AdaptEngine(copy.deepcopy(net), method)
@@ -825,7 +883,7 @@ class TestStemWindow:
         [np.zeros((8, 5)), np.zeros(6), np.zeros((0, 6)), np.full((8, 6), "x")],
         ids=["width", "1d", "empty", "text"],
     )
-    def test_a_malformed_batch_in_a_window_fails_at_its_own_step(self, stem_rows, bad):
+    def test_a_malformed_batch_in_a_plan_fails_at_its_own_step(self, stem_rows, bad):
         net, stream = small_setup(seed=23)
         stream = stream + [Batch(bad, np.zeros(len(bad), dtype=int))] + stream
         engine = AdaptEngine(net, MethodConfig(kind="tent", lr=0.05))

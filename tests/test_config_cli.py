@@ -103,6 +103,12 @@ class TestConfigResolution:
         _, method = cfg.methods()[0]
         assert math.isinf(method.threshold_rho)
 
+    def test_infinite_rho_resolves_to_null(self):
+        cfg = resolve_config({"methods": [{"kind": "seva", "threshold_rho": math.inf}]})
+        assert cfg.tree["methods"][0]["threshold_rho"] is None
+        assert math.isinf(cfg.methods()[0][1].threshold_rho)
+        assert config_hash(cfg) == config_hash(resolve_config({"methods": [{"kind": "seva", "threshold_rho": None}]}))
+
     def test_hash_ignores_out_dir(self):
         a = resolve_config({"out_dir": "x"})
         b = resolve_config({"out_dir": "y"})
@@ -166,13 +172,31 @@ def non_finite_leaves(tree, prefix=()):
 
 
 DEFAULT_TREE = resolve_config({}).tree
+NO_ADAPT_TREE = resolve_config({"methods": [{"kind": "no_adapt"}]}).tree  # a kind that never updates
 FUZZ_VALUES = [None, math.nan, math.inf, -math.inf, -1, -1.0, 0, 0.0, True, "x", [], {}]
+
+
+def assert_rejects_or_resolves_finite(tree, path):
+    for value in FUZZ_VALUES:
+        raw = copy.deepcopy(tree)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            cfg = resolve_config(raw)
+        except ConfigError:
+            continue
+        bad = list(non_finite_leaves(cfg.tree))
+        assert bad == [], f"{value!r} at {path} resolved with non-finite leaves {bad}"
+        json.dumps(cfg.tree, allow_nan=False)  # strict JSON, as resolved_config.json is written
 
 
 class TestConfigFuzz:
     """One leaf at a time set to each hostile value: resolve_config either
-    raises ConfigError or returns a tree whose float leaves are finite, except
-    a method's threshold_rho (null, resolved as unbounded)."""
+    raises ConfigError or returns a tree whose float leaves are all finite, so
+    that it dumps as strict JSON (an infinite threshold_rho resolves to null,
+    which means unbounded)."""
 
     def test_paths_cover_list_entries(self):
         paths = set(leaf_paths(DEFAULT_TREE))
@@ -184,20 +208,13 @@ class TestConfigFuzz:
         "path", list(leaf_paths(DEFAULT_TREE)), ids=lambda p: ".".join(map(str, p))
     )
     def test_rejects_or_resolves_finite(self, path):
-        for value in FUZZ_VALUES:
-            raw = copy.deepcopy(DEFAULT_TREE)
-            node = raw
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            try:
-                cfg = resolve_config(raw)
-            except ConfigError:
-                continue
-            bad = [
-                p for p in non_finite_leaves(cfg.tree) if not (p[0] == "methods" and p[-1] == "threshold_rho")
-            ]
-            assert bad == [], f"{value!r} at {path} resolved with non-finite leaves {bad}"
+        assert_rejects_or_resolves_finite(DEFAULT_TREE, path)
+
+    @pytest.mark.parametrize(
+        "path", [p for p in leaf_paths(NO_ADAPT_TREE) if p[0] == "methods"], ids=lambda p: ".".join(map(str, p))
+    )
+    def test_a_no_adapt_entry_rejects_or_resolves_finite(self, path):
+        assert_rejects_or_resolves_finite(NO_ADAPT_TREE, path)
 
 
 class TestRunArtifacts:
@@ -396,6 +413,15 @@ class TestCli:
         ),
         pytest.param(
             {"methods": [{"kind": "tent", "lr": float("inf")}]}, ["'methods[0]'", "lr"], id="infinite_method_lr"
+        ),
+        # a kind that never updates took them, and resolved_config.json held NaN or Infinity
+        pytest.param(
+            {"methods": [{"kind": "no_adapt", "lr": float("nan")}]}, ["'methods[0]'", "lr"], id="nan_no_adapt_lr"
+        ),
+        pytest.param(
+            {"methods": [{"kind": "no_adapt", "momentum": float("inf")}]},
+            ["'methods[0]'", "momentum"],
+            id="infinite_no_adapt_momentum",
         ),
         # world, network, stream and mc values that failed late or ran silently
         pytest.param({"network": {"activation": "relu"}}, ["'network.activation'"], id="unknown_activation"),
