@@ -3,7 +3,7 @@
 # closed form beyond three standard errors. The certification is honest
 # about its limits: one known off-distribution instance genuinely violates
 # the bound, and the report says so instead of hiding it.
-from seva import bound_gap_report, bound_sweep, substream
+from seva import bound_gap_report, bound_sweep, mc_entropy, substream
 from seva.oracle import random_instance
 from seva.runner import format_bound_report
 
@@ -18,7 +18,7 @@ print(f"  ... {n_ok}/50 satisfied, worst slack "
 print("\na genuine counterexample (instance 16 of sweep seed 13):")
 gen = substream(13, "bounds", 16)
 head, z, sigma = random_instance(gen)
-rep = bound_gap_report(head, z, sigma, 100_000, gen)
+rep = bound_gap_report(head, z, sigma, mc_entropy(head, z, sigma, 100_000, gen))
 print(" ", format_bound_report(16, rep))
 print(
     "  the ratio-of-expectations prediction underweights tail classes on\n"

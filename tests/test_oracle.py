@@ -1,6 +1,9 @@
 """Monte-Carlo oracle: sampling statistics, estimator quality, bound checks."""
 
 import copy
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,13 +20,16 @@ from seva.core_math import (
     robust_probs,
     softmax,
 )
+from seva import oracle
 from seva.oracle import (
     BOUND_ATOL,
     MC_CHUNK_ROWS,
+    McEstimate,
     bound_gap_report,
     bound_sweep,
     mc_entropy,
     mc_robust_probs_estimate,
+    random_instance,
     vicinal_batch,
     vicinal_logits,
 )
@@ -138,7 +144,7 @@ class TestOracleInputChecks:
     def test_bound_gap_report_rejects_non_finite_feature(self, h3, sigma_half):
         # reported as an error, not as a bound violation
         with pytest.raises(ValueError, match="feature must be finite"):
-            bound_gap_report(h3, [np.nan, 0.0], sigma_half, 100, substream(0))
+            bound_gap_report(h3, [np.nan, 0.0], sigma_half, McEstimate(0.5, 0.01, 100))
 
 
 def _explicit_mc_entropy(head, z, sigma, n, rng):
@@ -214,11 +220,11 @@ class TestFoldedChunkedSampling:
             vicinal_logits(head, z, DiagCovariance.zeros(4), substream(0), 3)
 
     def test_working_set_does_not_grow_with_n(self):
-        # C=10, d=16 as in the certification sweep. Only the length-n
-        # per-draw entropy vector and the temporary of its std reduction
-        # (16 bytes a draw together) may grow with n. One full-length
-        # (n, C) logit array would add 80 bytes a draw, and the explicit
-        # (n, d) sample path grew by about 380.
+        # C=10, d=16 as in the certification sweep: a few (C, MC_CHUNK_ROWS)
+        # and (MC_CHUNK_ROWS, d) blocks and nothing of length n. A length-n
+        # entropy vector would add 8 bytes a draw (2.4 MB here), one
+        # full-length (n, C) logit array 80, and the explicit (n, d) sample
+        # path grew by about 380.
         rng = np.random.default_rng(34)
         head = random_head(rng, C=10, d=16)
         z, sigma = rng.standard_normal(16), random_sigma(rng, 16)
@@ -233,7 +239,7 @@ class TestFoldedChunkedSampling:
 
         small, large = peak(100_000), peak(400_000)
         assert small <= 8 * 2**20
-        assert large - small < 24 * 300_000
+        assert large - small < 64 * 2**10
 
 
 class TestMcRobustProbs:
@@ -304,27 +310,33 @@ class TestChunkedRobustProbs:
         np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
         np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
-    def test_later_block_raising_the_max_past_exp_range(self):
+    def test_later_block_raising_the_max_past_exp_range(self, monkeypatch):
         # The second block's largest logit exceeds the first block's by more
         # than 709 nats, so exp(first max - second max) underflows to 0 and
         # an estimator that kept the first block's shift would overflow.
+        # The draws were picked for blocks of 8192 rows.
+        rows = 8192
+        monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", rows)
         head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
-        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), 2 * MC_CHUNK_ROWS + 3
+        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), 2 * rows + 3
         L = vicinal_logits(head, z, sigma, substream(37, "shift", 10), n)
-        assert L[MC_CHUNK_ROWS:].max() - L[:MC_CHUNK_ROWS].max() > 709
+        assert L[rows:].max() - L[:rows].max() > 709
         probs, stderr = mc_robust_probs_estimate(head, z, sigma, n, substream(37, "shift", 10))
         ref_probs, ref_stderr = _whole_array_robust_probs(head, z, sigma, n, substream(37, "shift", 10))
         assert np.isfinite(probs).all() and np.isfinite(stderr).all()
         np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
         np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
 
-    def test_tiny_coordinate_keeps_its_stderr_across_a_raised_max(self):
+    def test_tiny_coordinate_keeps_its_stderr_across_a_raised_max(self, monkeypatch):
         # A later block raises the max by ~137 nats and one class's ratio is
         # ~1e-69; its stderr (~2e-69) survives because the second moments are
         # kept about the running ratio, not about a stale first-block one.
+        # The draws were picked for blocks of 8192 rows.
+        rows = 8192
+        monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", rows)
         rng = np.random.default_rng(0)
         head = ClassifierHead(rng.standard_normal((3, 2)), np.zeros(3))
-        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), 3 * MC_CHUNK_ROWS
+        z, sigma, n = np.zeros(2), DiagCovariance(np.full(2, 1e6)), 3 * rows
         probs, stderr = mc_robust_probs_estimate(head, z, sigma, n, substream(0, "shift"))
         ref_probs, ref_stderr = _whole_array_robust_probs(head, z, sigma, n, substream(0, "shift"))
         assert 1e-75 < probs[1] < 1e-60
@@ -361,14 +373,18 @@ class TestChunkedRobustProbs:
         assert large - small < 64 * 2**10
 
 
+def _sampled_report(head, z, sigma, n, rng):
+    return bound_gap_report(head, z, sigma, mc_entropy(head, z, sigma, n, rng))
+
+
 class TestBoundGapReport:
     def test_zero_sigma_gap_zero_and_satisfied(self, h3):
-        rep = bound_gap_report(h3, [1.0, 0.0], DiagCovariance.zeros(2), 100, substream(0))
+        rep = _sampled_report(h3, [1.0, 0.0], DiagCovariance.zeros(2), 100, substream(0))
         assert abs(rep.gap) <= 1e-9
         assert rep.satisfied
 
     def test_satisfied_definition(self, h3, sigma_half):
-        rep = bound_gap_report(h3, [1.0, 0.0], sigma_half, 1000, substream(6))
+        rep = _sampled_report(h3, [1.0, 0.0], sigma_half, 1000, substream(6))
         assert rep.satisfied == (rep.gap >= -(3 * rep.mc.stderr + BOUND_ATOL))
         assert rep.gap == pytest.approx(rep.l_ae - rep.mc.mean)
 
@@ -383,16 +399,14 @@ class TestBoundGapReport:
         # ratio-form prediction underweights tail classes); this one does,
         # verified at n = 1e6, and the report says so rather than hiding it
         gen = substream(13, "bounds", 16)
-        from seva.oracle import random_instance
-
         head, z, sigma = random_instance(gen)
-        rep = bound_gap_report(head, z, sigma, 100_000, gen)
+        rep = _sampled_report(head, z, sigma, 100_000, gen)
         assert not rep.satisfied
         assert rep.gap < -3 * rep.mc.stderr
 
     def test_adversarially_large_sigma(self, h3):
         huge = DiagCovariance(np.full(2, 100.0))
-        rep = bound_gap_report(h3, [1.0, 0.0], huge, 50_000, substream(7, "huge"))
+        rep = _sampled_report(h3, [1.0, 0.0], huge, 50_000, substream(7, "huge"))
         assert rep.satisfied
         assert rep.gap > 0  # the bound grows with the covariance, entropy stays <= ln C
 
@@ -400,3 +414,87 @@ class TestBoundGapReport:
         a = bound_sweep(9, n_instances=3, n_samples=1000)
         b = bound_sweep(9, n_instances=3, n_samples=1000)
         assert [(r.l_ae, r.mc, r.gap) for r in a] == [(r.l_ae, r.mc, r.gap) for r in b]
+
+
+class Boom(Exception):
+    pass
+
+
+class TestConcurrentSweep:
+    """bound_sweep runs its instances on one thread per CPU, as the serial loop would."""
+
+    SEED, N_INSTANCES, N_SAMPLES = 12, 6, 3 * MC_CHUNK_ROWS + 5
+
+    def serial(self):
+        reports = []
+        for i in range(self.N_INSTANCES):
+            gen = substream(self.SEED, "bounds", i)
+            head, z, sigma = random_instance(gen)
+            reports.append(_sampled_report(head, z, sigma, self.N_SAMPLES, gen))
+        return reports
+
+    @pytest.mark.parametrize("threads", [None, 8], ids=["per_cpu", "eight"])
+    def test_equals_the_serial_loop_bit_for_bit(self, monkeypatch, threads):
+        # Eight threads, more than most hosts' CPUs, on a short switch
+        # interval, so the interpreter lock changes hands often.
+        interval = sys.getswitchinterval()
+        if threads is not None:
+            monkeypatch.setattr(oracle, "_n_threads", lambda n: min(threads, n))
+            sys.setswitchinterval(1e-5)
+        try:
+            got = bound_sweep(self.SEED, n_instances=self.N_INSTANCES, n_samples=self.N_SAMPLES)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == self.serial()
+
+    @pytest.mark.parametrize("n_instances", [0, -1])
+    def test_no_instances_no_reports(self, n_instances):
+        assert bound_sweep(self.SEED, n_instances=n_instances, n_samples=1000) == []
+
+    def test_reports_each_instance_once_in_order(self, monkeypatch):
+        seen = []
+        original = oracle.bound_gap_report
+
+        def record(head, z, sigma, mc):
+            report = original(head, z, sigma, mc)
+            seen.append((head, report))
+            return report
+
+        monkeypatch.setattr(oracle, "bound_gap_report", record)
+        reports = bound_sweep(self.SEED, n_instances=self.N_INSTANCES, n_samples=1000)
+        assert len(seen) == len(reports) == self.N_INSTANCES
+        for i, (head, report) in enumerate(seen):
+            assert report is reports[i]
+            expected, _, _ = random_instance(substream(self.SEED, "bounds", i))
+            np.testing.assert_array_equal(head.weights, expected.weights)
+
+    @pytest.mark.parametrize("exc", [Boom, KeyboardInterrupt])
+    def test_a_failing_instance_raises_after_its_threads_are_joined(self, monkeypatch, exc):
+        original = oracle.mc_entropy
+        bad, _, _ = random_instance(substream(self.SEED, "bounds", 2))
+
+        def failing(head, z, sigma, n, rng):
+            if np.array_equal(head.weights, bad.weights):
+                raise exc("instance 2 failed")
+            return original(head, z, sigma, n, rng)
+
+        monkeypatch.setattr(oracle, "mc_entropy", failing)
+        before = threading.active_count()
+        with pytest.raises(exc, match="instance 2 failed"):
+            bound_sweep(self.SEED, n_instances=50, n_samples=1000)
+        assert threading.active_count() == before
+
+    def test_no_instance_is_claimed_after_a_failure(self, monkeypatch):
+        original = oracle.mc_entropy
+        tickets = itertools.count()
+
+        def first_fails(*args):
+            if next(tickets) == 0:
+                raise Boom("first instance failed")
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "mc_entropy", first_fails)
+        with pytest.raises(Boom):
+            bound_sweep(self.SEED, n_instances=50, n_samples=1000)
+        # the other threads finish what they hold and claim nothing more
+        assert next(tickets) < 25
