@@ -147,6 +147,15 @@ class TestOracleInputChecks:
             bound_gap_report(h3, [np.nan, 0.0], sigma_half, McEstimate(0.5, 0.01, 100))
 
 
+def _block_edges(rows):
+    return [rows - 1, rows, rows + 1, 2 * rows + 3]
+
+
+# Draw counts on either side of a block boundary: of the current block size,
+# and of the former 8192-row blocks, which now span several blocks each.
+BLOCK_EDGE_SIZES = sorted({2, *_block_edges(MC_CHUNK_ROWS), *_block_edges(8192)})
+
+
 def _explicit_mc_entropy(head, z, sigma, n, rng):
     """mean, stderr of the entropy over the explicit (n, d) feature sample."""
     L = vicinal_batch(z, sigma, rng, n) @ head.weights.T + head.biases
@@ -165,9 +174,7 @@ class TestFoldedChunkedSampling:
         head = random_head(rng, C=7, d=5)
         return head, rng.standard_normal(5), random_sigma(rng, 5)
 
-    @pytest.mark.parametrize("n", [
-        2, MC_CHUNK_ROWS - 1, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1, 2 * MC_CHUNK_ROWS + 3,
-    ])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
     def test_mc_entropy_matches_explicit_sample(self, instance, n):
         head, z, sigma = instance
         gen = substream(32, "chunks", n)
@@ -297,9 +304,7 @@ class TestChunkedRobustProbs:
         head = random_head(rng, C=7, d=5)
         return head, rng.standard_normal(5), random_sigma(rng, 5)
 
-    @pytest.mark.parametrize("n", [
-        2, MC_CHUNK_ROWS - 1, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1, 2 * MC_CHUNK_ROWS + 3,
-    ])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
     def test_matches_whole_array_formula(self, instance, n):
         head, z, sigma = instance
         gen = substream(41, "robust", n)
