@@ -4,7 +4,8 @@ One engine owns one network for one streaming pass. Per batch it predicts
 (before any update), scores each sample with the method's loss, applies
 the method's selection rule, and, iff at least one sample was selected,
 applies the method's update rule to the selected samples. An optimizer
-step whose gradient is not finite is skipped. A method kind is one row of
+step whose gradient is not finite is skipped, and counted in
+``Counters.n_skipped_steps``. A method kind is one row of
 ``RECIPES``:
 
 ==================  =================  ===============  =======================
@@ -220,11 +221,13 @@ class MethodConfig:
 
 @dataclass
 class Counters:
-    """Per-sample work counters (calibration tracked separately)."""
+    """Per-sample work counters (calibration tracked separately), plus the
+    optimizer steps taken and those skipped on a non-finite gradient."""
 
     n_forward: int = 0
     n_backward: int = 0
     n_optimizer_steps: int = 0
+    n_skipped_steps: int = 0
     n_calibration_forward: int = 0
 
 
@@ -333,8 +336,10 @@ class AdaptEngine:
 
     def _optimizer_step(self, grads: np.ndarray) -> None:
         """One SGD-with-momentum step; a non-finite gradient is skipped whole,
-        leaving parameters, momentum and the step counter as they were."""
+        leaving parameters, momentum and the step counter as they were; it
+        is counted in ``n_skipped_steps``."""
         if not np.isfinite(grads).all():
+            self.counters.n_skipped_steps += 1
             return
         params = adaptable_params(self.net)
         new_params, self.velocity = sgd_momentum_step(

@@ -51,6 +51,10 @@ GAIN_LOG_STEP = 0.25
 ROTATION_STEP = math.pi / 12
 OCCLUSION_STEP = 0.1
 
+# Rows x classes per block of online_shifting label weights (512 KiB of
+# float64), so drawing labels holds no (n_samples, C) array.
+LABEL_BLOCK_ELEMENTS = 1 << 16
+
 
 class InfeasibleWorldError(RuntimeError):
     """Prototype sampling could not satisfy the separation floor."""
@@ -183,9 +187,12 @@ def make_world(
                     offset = (k - (cluster_size - 1) / 2) * cluster_spread
                     rows.append(center + offset * direction)
             protos = np.stack(rows)
-        dists = np.linalg.norm(protos[:, None, :] - protos[None, :, :], axis=2)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() >= min_separation:
+        # one row of the upper triangle at a time: |a_i - a_j| and |a_j - a_i|
+        # have the same bits, so no (C, C, d_in) difference tensor is needed
+        if all(
+            np.linalg.norm(protos[i + 1 :] - protos[i], axis=1).min() >= min_separation
+            for i in range(C - 1)
+        ):
             return World(protos, within_scale, seed)
     raise InfeasibleWorldError(
         f"no prototype set with pairwise separation >= {min_separation} "
@@ -197,7 +204,9 @@ def sample_clean(world: World, rng: np.random.Generator, labels: np.ndarray) -> 
     """Clean inputs around the labelled prototypes."""
     labels = np.asarray(labels)
     noise = rng.standard_normal((labels.shape[0], world.d_in))
-    return world.prototypes[labels] + world.within_scale * noise
+    noise *= world.within_scale
+    noise += world.prototypes[labels]
+    return noise
 
 
 def corrupt_batch(X: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:
@@ -208,7 +217,10 @@ def corrupt_batch(X: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator)
         return X.copy()
     if spec.kind == "additive_noise":
         # E||x' - x||^2 = s * NOISE_BASE_STD^2 * d_in
-        return X + math.sqrt(s) * NOISE_BASE_STD * rng.standard_normal(X.shape)
+        out = rng.standard_normal(X.shape)
+        out *= math.sqrt(s) * NOISE_BASE_STD
+        out += X
+        return out
     if spec.kind == "feature_scale":
         # fixed per-coordinate gain miscalibration: one log-normal gain vector
         # per corruption segment, spread growing with severity
@@ -251,14 +263,19 @@ def _draw_labels(spec: StreamSpec, C: int, rng: np.random.Generator) -> np.ndarr
                 seg[flip] = rng.choice(others, size=int(flip.sum()))
             labels[start:stop] = seg
         return labels
-    # online_shifting: mode of a soft categorical drifts once around the classes
-    t = np.arange(total) / total
-    classes = np.arange(C)
-    angles = 2.0 * math.pi * (classes[None, :] / C - t[:, None])
-    weights = np.exp(sched.shift_concentration * np.cos(angles))
-    weights /= weights.sum(axis=1, keepdims=True)
+    # online_shifting: mode of a soft categorical drifts once around the classes;
+    # each row's weights are its own, so blocks of rows give the same labels
     u = rng.random(total)
-    return (weights.cumsum(axis=1) > u[:, None]).argmax(axis=1).astype(np.int64)
+    labels = np.empty(total, dtype=np.int64)
+    class_turns = np.arange(C)[None, :] / C
+    step = max(1, LABEL_BLOCK_ELEMENTS // C)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        t = np.arange(start, stop) / total
+        weights = np.exp(sched.shift_concentration * np.cos(2.0 * math.pi * (class_turns - t[:, None])))
+        weights /= weights.sum(axis=1, keepdims=True)
+        labels[start:stop] = (weights.cumsum(axis=1) > u[start:stop, None]).argmax(axis=1)
+    return labels
 
 
 def _corruption_segments(spec: StreamSpec) -> list[tuple[int, int, CorruptionSpec]]:
@@ -322,9 +339,31 @@ def fit_head(
     rng = substream(seed, "head-fit")
     C = world.n_classes
     y_train = np.repeat(np.arange(C), n_train_per_class)
+    # the training features and the refinement's (n, C) arrays are gone
+    # before the held-out pass begins
     F = forward_features_batch(net, sample_clean(world, rng, y_train))
-    d = F.shape[1]
+    head = _refine_head(F, y_train, C, refine_steps, lr, momentum, weight_decay)
+    del F
 
+    y_eval = np.repeat(np.arange(C), n_eval_per_class)
+    F_eval = forward_features_batch(net, sample_clean(world, rng, y_eval))
+    logits = F_eval @ head.weights.T
+    logits += head.biases
+    return head, float((logits.argmax(axis=1) == y_eval).mean())
+
+
+def _refine_head(
+    F: np.ndarray,
+    y_train: np.ndarray,
+    C: int,
+    refine_steps: int,
+    lr: float,
+    momentum: float,
+    weight_decay: float,
+) -> ClassifierHead:
+    """Nearest-class-mean head on features F, then ``refine_steps`` full-batch
+    softmax-regression steps."""
+    d = F.shape[1]
     means = np.stack([F[y_train == c].mean(axis=0) for c in range(C)])
     A = means.copy()
     b = -0.5 * (means * means).sum(axis=1)
@@ -343,12 +382,7 @@ def fit_head(
         gA = G.T @ F / n + weight_decay * A
         gb = G.mean(axis=0)
         params, velocity = sgd_momentum_step(params, np.concatenate([gA.ravel(), gb]), velocity, lr, momentum)
-    head = ClassifierHead(params[: C * d].reshape(C, d), params[C * d :])
-
-    y_eval = np.repeat(np.arange(C), n_eval_per_class)
-    F_eval = forward_features_batch(net, sample_clean(world, rng, y_eval))
-    pred = (F_eval @ head.weights.T + head.biases).argmax(axis=1)
-    return head, float((pred == y_eval).mean())
+    return ClassifierHead(params[: C * d].reshape(C, d), params[C * d :])
 
 
 @dataclass(frozen=True)

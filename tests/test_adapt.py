@@ -467,8 +467,9 @@ class TestRunStream:
 
 class TestNonFiniteGradient:
     """A non-finite gradient skips its optimizer step: parameters, momentum
-    and the step counter stay as they were. A non-finite sample that is not
-    selected does not reach the gradient at all."""
+    and the step counter stay as they were, and the skip is counted. A
+    non-finite sample that is not selected does not reach the gradient at
+    all."""
 
     @pytest.mark.parametrize("kind", ["tent", "entropy_select", "seva"])
     def test_one_nan_input_leaves_the_network_finite(self, kind):
@@ -490,6 +491,7 @@ class TestNonFiniteGradient:
             np.testing.assert_array_equal(adaptable_params(net), params)
             np.testing.assert_array_equal(engine.velocity, velocity)
             assert engine.counters.n_optimizer_steps == steps
+            assert engine.counters.n_skipped_steps == 1
         else:
             # a NaN loss is never below the threshold: the 7 finite samples train
             assert reports[3].selected.tolist() == [True] * 5 + [False] + [True] * 2
@@ -498,6 +500,7 @@ class TestNonFiniteGradient:
         reports += [engine.adapt_step(b.inputs) for b in stream[4:]]
         assert all(r.updated for i, r in enumerate(reports) if i != 3)
         assert engine.counters.n_optimizer_steps == (19 if kind == "tent" else 20)
+        assert engine.counters.n_skipped_steps == (1 if kind == "tent" else 0)
         assert np.isfinite(adaptable_params(net)).all()
         assert all(np.isfinite(r.losses).all() for r in reports[4:])
 
@@ -520,6 +523,7 @@ class TestNonFiniteGradient:
         assert len(calls) == 3
         assert rep.updated is True
         assert engine.counters.n_optimizer_steps == 2
+        assert engine.counters.n_skipped_steps == 1
         assert np.isfinite(adaptable_params(net)).all()
         assert np.isfinite(engine.velocity).all()
 

@@ -43,6 +43,7 @@ SUMMARY_HEADER = [
     "n_forward",
     "n_backward",
     "n_optimizer_steps",
+    "n_skipped_steps",
     "n_calibration_forward",
     "config_hash",
     "calib_wall_time",

@@ -1,5 +1,8 @@
 """Worlds, corruptions, stream schedules, and the selection-F1 metric."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,22 @@ class TestWorld:
         head, acc = fit_head(net, world, seed=5)
         assert acc >= 0.95
         net.head = head
+
+    def test_fit_head_without_refinement_is_the_nearest_class_mean_head(self):
+        world = make_world(seed=8, C=4, d_in=6)
+        net = build_network(seed=9, d_in=6, d=8, C=4, n_layers=2, groups=2)
+        head, acc = fit_head(net, world, seed=10, n_train_per_class=20, n_eval_per_class=15, refine_steps=0)
+        rng = substream(10, "head-fit")
+        y_train = np.repeat(np.arange(4), 20)
+        F = forward_features_batch(net, sample_clean(world, rng, y_train))
+        means = np.stack([F[y_train == c].mean(axis=0) for c in range(4)])
+        np.testing.assert_array_equal(head.weights, means)
+        np.testing.assert_array_equal(head.biases, -0.5 * (means * means).sum(axis=1))
+        y_eval = np.repeat(np.arange(4), 15)
+        F_eval = forward_features_batch(net, sample_clean(world, rng, y_eval))
+        pred = (F_eval @ head.weights.T + head.biases).argmax(axis=1)
+        assert acc == (pred == y_eval).mean()
+        assert acc >= 0.95
 
     def test_clustered_world_geometry(self):
         w = make_world(
@@ -201,6 +220,21 @@ class TestGenerateStream:
             np.testing.assert_array_equal(x.inputs, y.inputs)
             np.testing.assert_array_equal(x.labels, y.labels)
 
+    @pytest.mark.parametrize("block", [1, 6 * 45, 6 * 64, 6 * 320])
+    def test_online_shifting_labels_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        # the whole-stream form the blocks replace: one (n_samples, C) array each
+        spec = default_spec(seed=35, label_schedule=LabelSchedule("online_shifting"), batch_size=32, n_batches=10)
+        total, C = spec.n_samples, 6
+        t = np.arange(total) / total
+        angles = 2.0 * math.pi * (np.arange(C)[None, :] / C - t[:, None])
+        weights = np.exp(spec.label_schedule.shift_concentration * np.cos(angles))
+        weights /= weights.sum(axis=1, keepdims=True)
+        u = substream(spec.seed, "stream").random(total)
+        expected = (weights.cumsum(axis=1) > u[:, None]).argmax(axis=1)
+        monkeypatch.setattr(seva.scenarios, "LABEL_BLOCK_ELEMENTS", block)
+        stream = generate_stream(make_world(seed=36, C=C, d_in=4), spec)
+        np.testing.assert_array_equal(np.concatenate([b.labels for b in stream]), expected)
+
     def test_batches_are_read_only(self):
         # one stream serves every cell of its seed: a write must raise
         stream = generate_stream(make_world(seed=32, C=4, d_in=5), default_spec(seed=33))
@@ -209,6 +243,36 @@ class TestGenerateStream:
                 batch.inputs[0, 0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 batch.labels[:] = 0
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetupMemory:
+    """Set-up holds its outputs, not (C, C, d_in) or (n_samples, C) temporaries."""
+
+    def test_world_needs_no_pairwise_difference_tensor(self):
+        # the (300, 300, 128) difference tensor alone is 92 MB
+        world, peak = traced_peak(make_world, seed=0, C=300, d_in=128)
+        assert world.prototypes.shape == (300, 128)
+        assert peak < 8e6
+
+    def test_wide_stream_peaks_near_its_own_size(self):
+        world = make_world(seed=0, C=100, d_in=64)
+        spec = default_spec(
+            seed=1, label_schedule=LabelSchedule("online_shifting"), batch_size=64, n_batches=300
+        )
+        stream, peak = traced_peak(generate_stream, world, spec)
+        own = sum(b.inputs.nbytes + b.labels.nbytes for b in stream)
+        assert own == 19_200 * (64 + 1) * 8
+        assert peak <= 2.5 * own
 
 
 class TestSelectionF1:
