@@ -9,10 +9,19 @@ trace (deterministic bytes: no wall-clock fields), and every grid writes
 one CSV summary, whose rows are put back in cell-major order. The resolved
 config is emitted next to the artifacts; re-running it reproduces the
 traces byte for byte.
+
+A trace (schema 2) has three lines: a header, one ``steps`` record and the
+summary. The steps record holds the cell's per-sample values as columns:
+each is the base64 of the little-endian bytes of one array over the whole
+stream (dtypes in ``TRACE_COLUMNS``, which the header repeats), so floats
+are stored exactly, NaN and infinities included, and none is formatted as
+text. Its ``rows`` list gives each step's sample count, and ``n_selected``
+and ``updated`` are per-step lists. ``read_trace`` is the decoder.
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import csv
 import json
@@ -51,13 +60,27 @@ __all__ = [
     "execute_verify_bounds",
     "execute_ablate",
     "execute_time",
+    "TRACE_COLUMNS",
+    "TraceFile",
+    "read_trace",
     "TIMING_ROSTER",
     "ablation_cells",
     "SIGMA_SCALE_SWEEP",
     "RHO_SWEEP",
 ]
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
+
+# The binary columns of a trace's steps record: name -> numpy dtype of its
+# little-endian bytes. ``labels`` comes from RunTrace.labels, the rest from
+# the StepReport field of the same name.
+TRACE_COLUMNS = {
+    "losses": "<f8",
+    "confidence": "<f8",
+    "predicted": "<i8",
+    "labels": "<i8",
+    "selected": "|b1",
+}
 
 # Component-ablation grid and hyperparameter sweep axes.
 SIGMA_SCALE_SWEEP = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -217,8 +240,15 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def _encode_column(column: np.ndarray, dtype: str) -> str:
+    """Base64 of the bytes of ``column`` as ``dtype``; only a cast that keeps
+    every value is allowed."""
+    return base64.b64encode(column.astype(dtype, casting="safe", copy=False)).decode("ascii")
+
+
 def trace_lines(result: CellResult, cfg: RunConfig) -> list[str]:
-    """Deterministic JSONL records for one cell (no wall-clock fields)."""
+    """Deterministic JSONL records for one cell (no wall-clock fields): the
+    header, the steps record and the summary."""
     header = {
         "record": "header",
         "schema": TRACE_SCHEMA_VERSION,
@@ -229,30 +259,60 @@ def trace_lines(result: CellResult, cfg: RunConfig) -> list[str]:
         "batch_size": cfg.tree["stream"]["batch_size"],
         "n_batches": cfg.tree["stream"]["n_batches"],
         "clean_accuracy": result.clean_accuracy,
+        "columns": TRACE_COLUMNS,
     }
-    lines = [_json_line(header)]
-    for i, (step, labels) in enumerate(zip(result.trace.steps, result.trace.labels)):
-        lines.append(
-            _json_line(
-                {
-                    "record": "step",
-                    "step": i,
-                    "losses": step.losses.tolist(),
-                    "selected": step.selected.tolist(),
-                    "predicted": step.predicted.tolist(),
-                    "confidence": step.confidence.tolist(),
-                    "labels": labels.tolist(),
-                    "n_selected": step.n_selected,
-                    "updated": step.updated,
-                }
-            )
-        )
-    lines.append(_json_line({"record": "summary", **result.summary}))
-    return lines
+    trace = result.trace
+    steps = {
+        "record": "steps",
+        "rows": [len(s.predicted) for s in trace.steps],
+        "n_selected": [s.n_selected for s in trace.steps],
+        "updated": [s.updated for s in trace.steps],
+    }
+    for name, dtype in TRACE_COLUMNS.items():
+        column = np.concatenate(trace.labels) if name == "labels" else trace.concat(name)
+        steps[name] = _encode_column(column, dtype)
+    return [_json_line(header), _json_line(steps), _json_line({"record": "summary", **result.summary})]
 
 
 def write_trace(result: CellResult, cfg: RunConfig, path: Path) -> None:
     path.write_text("\n".join(trace_lines(result, cfg)) + "\n", encoding="utf-8")
+
+
+@dataclass(frozen=True)
+class TraceFile:
+    """A decoded trace: its header, each binary column over the whole
+    stream, the per-step lists (``rows``, ``n_selected``, ``updated``) and
+    the summary record."""
+
+    header: dict
+    columns: dict[str, np.ndarray]
+    steps: dict[str, list]
+    summary: dict
+
+    def per_step(self, name: str) -> list[np.ndarray]:
+        """Column ``name`` split into one array per step."""
+        return np.split(self.columns[name], np.cumsum(self.steps["rows"])[:-1])
+
+
+def read_trace(path: str | Path) -> TraceFile:
+    """Decode one trace written by ``write_trace``; a file of another schema
+    or with a column whose length is not the sum of ``rows`` raises
+    ValueError."""
+    records = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    schema = records[0].get("schema") if records else None
+    if schema != TRACE_SCHEMA_VERSION:
+        raise ValueError(f"{path}: trace schema {schema}, this reader reads schema {TRACE_SCHEMA_VERSION}")
+    if [r.get("record") for r in records] != ["header", "steps", "summary"]:
+        raise ValueError(f"{path}: expected a header, a steps and a summary record")
+    header, steps, summary = records
+    n_rows = sum(steps["rows"])
+    columns = {}
+    for name, dtype in header["columns"].items():
+        columns[name] = np.frombuffer(base64.b64decode(steps.pop(name), validate=True), dtype=dtype)
+        if len(columns[name]) != n_rows:
+            raise ValueError(f"{path}: column '{name}' has {len(columns[name])} values for {n_rows} rows")
+    del steps["record"]
+    return TraceFile(header=header, columns=columns, steps=steps, summary=summary)
 
 
 def summary_row(result: CellResult, cfg: RunConfig) -> dict:

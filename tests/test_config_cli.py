@@ -1,11 +1,13 @@
 """Config validation, artifact contracts, CLI subcommands and exit codes."""
 
+import base64
 import copy
 import csv
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seva.cli import main
@@ -261,19 +263,25 @@ class TestRunArtifacts:
         cfg = resolve_config(SMALL)
         result = execute_run(cfg, tmp_path)
         lines = result["traces"][0].read_text().splitlines()
+        assert len(lines) == 3
         header = json.loads(lines[0])
         assert header["record"] == "header"
-        assert header["schema"] == 1
+        assert header["schema"] == 2
         assert header["config_hash"] == config_hash(cfg)
-        step = json.loads(lines[1])
-        assert step["record"] == "step"
-        assert set(step) == {
-            "record", "step", "losses", "selected", "predicted",
-            "confidence", "labels", "n_selected", "updated",
+        assert header["columns"] == {
+            "losses": "<f8", "confidence": "<f8", "predicted": "<i8", "labels": "<i8", "selected": "|b1",
         }
+        steps = json.loads(lines[1])
+        assert steps["record"] == "steps"
+        assert set(steps) == {"record", "rows", "n_selected", "updated", *header["columns"]}
+        n_batches = cfg.tree["stream"]["n_batches"]
+        assert steps["rows"] == [cfg.tree["stream"]["batch_size"]] * n_batches
+        assert len(steps["n_selected"]) == len(steps["updated"]) == n_batches
+        for name, dtype in header["columns"].items():
+            raw = base64.b64decode(steps[name], validate=True)
+            assert len(raw) == np.dtype(dtype).itemsize * sum(steps["rows"]), name
         summary = json.loads(lines[-1])
         assert summary["record"] == "summary"
-        assert len(lines) == 1 + cfg.tree["stream"]["n_batches"] + 1
 
 
 class TestCli:

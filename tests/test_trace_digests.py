@@ -1,7 +1,10 @@
 """Pinned JSONL trace bytes for a small grid covering every method kind.
 
-Any change to the arithmetic of a loss, its gradient, the selection rule
-or an update rule changes at least one digest; a deliberate change
+Since trace schema 2 the per-sample values are binary columns, so the
+digests pin the bytes of every float (NaN payloads and signed zeros
+included), not their shortest decimal text. Any change to the arithmetic
+of a loss, its gradient, the selection rule or an update rule changes at
+least one digest; a deliberate change
 re-records them and says why. Every kind that trains takes at
 least one gradient step on this grid (see the selection counts below), so
 none of the digests is a frozen-model trace in disguise.
@@ -35,23 +38,25 @@ GRID = {
     ],
 }
 
-# The l_ae_only and seva digests were re-recorded when the augmented entropy
-# moved to its two-product form: their losses moved by at most 1.3e-15 and
-# the confidences of later steps by 3.3e-16; selections, predictions and
-# updates stayed identical, and the other eight traces kept their bytes.
+# Re-recorded once for trace schema 2, which writes each cell's per-sample
+# values as base64 binary columns instead of JSON number text. Before the
+# re-recording, every value of the schema-1 traces (parsed with json.loads)
+# was checked equal, bit for bit, to its decoded schema-2 column on this
+# grid and on the committed grid: the content did not change, only its
+# encoding.
 DIGESTS = {
-    "trace_no_adapt_seed0.jsonl": "a835fc9bd151f1ca31589c5cb582f6626d9a00dbeb5f23a01d217ef7ed51ec5b",
-    "trace_no_adapt_seed1.jsonl": "ba0e57af6042e479b97354d9dbf1b1ba1f6d461f93e5c4cc3688c0af3c3de5b2",
-    "trace_tent_seed0.jsonl": "c0e2d8452916ffbfcec1d72aba81be19601c872f787138709774b6d9ea6a1889",
-    "trace_tent_seed1.jsonl": "4b57f5ac2c19496dc505d27e2c99188844805a731c98f47d2320ba407ae78469",
-    "trace_es_seed0.jsonl": "a1a5e5f1614021a7e33d2b60969123aeba1de27ac16c57948ff695e681032d35",
-    "trace_es_seed1.jsonl": "3b9f9b2436f25f44be5d1f1bea6064defd626ee40c4dc8a158a270d367c8dbbf",
-    "trace_l_ae_only_seed0.jsonl": "2932a82dde2705039a6cb60a36b66ba5f4b6caaa66abc8b0791e313c3a7c85b7",
-    "trace_l_ae_only_seed1.jsonl": "1bd84ac473277440d354e5856142a81380dbc5cdf882d6f91836322b781c0f00",
-    "trace_seva_seed0.jsonl": "e6de183d2bc0f63436ac9c566249e21a8f54fe78994a3166e5805381aba49743",
-    "trace_seva_seed1.jsonl": "669a815b4bc1c897d5ee1deafbf9e1815754e16e99c2e2106c10ddbed6046a18",
-    "trace_va_seed0.jsonl": "d54d783bcf565fc79a9f32b4ab06208f4b176a3ffe957dd49344259e81b6056a",
-    "trace_va_seed1.jsonl": "114ce03d6fb8cb9093bacd28e8a803a9c6501801177a0556afa51c030f371e5e",
+    "trace_no_adapt_seed0.jsonl": "05b87dc1882c719e35713927c5f8a75210ab7690b738e3d1bd5429dbe89f9c67",
+    "trace_no_adapt_seed1.jsonl": "0de8861a1c22dae5904f055a5443d727090ea0e8fe07776dbf479afb5fd6b5f7",
+    "trace_tent_seed0.jsonl": "b8071e761fe68c332f355c19159746b897e968f8924a3532cf5a210f54cfce2f",
+    "trace_tent_seed1.jsonl": "18debc900a5e4e3b7afe1b8a9f449b9553b3f8fd10a9633bb9ba885229121c5e",
+    "trace_es_seed0.jsonl": "eb24b0805652f87766ef2489aef081b0f493dc3896d9689be9782a69193c8a15",
+    "trace_es_seed1.jsonl": "a5008f2f95470a1fba4d30aa15be7d99c4b213b6c783e8f1387db267ae9bd08e",
+    "trace_l_ae_only_seed0.jsonl": "f13cfe5d9a4a289fac93575d54b42d69e28bcb0dad4f55e5f53d8fb481215efa",
+    "trace_l_ae_only_seed1.jsonl": "2b623297bf1541a01f133756396325d0204b96000aa4eef1c37791584dc409e2",
+    "trace_seva_seed0.jsonl": "1b430f7a8d099156f4abcfae62f60fb0bba5cb269298b120a9895311b8cc2f09",
+    "trace_seva_seed1.jsonl": "375c56ab82e43d09796c57bb8c07fd97aa9f376a45f9255dda2d3bab7cd8c0b0",
+    "trace_va_seed0.jsonl": "3e3bdca8ac362759740d869eff56ad50b4f385aa5a17303cc56cae434b743640",
+    "trace_va_seed1.jsonl": "34ff9219d6f71d2048679f689d2985f22f91addec0aebcd4ce34d24b65584c55",
 }
 
 SELECTED = {"no_adapt": 0, "tent": 640, "es": 13, "l_ae_only": 640, "seva": 223, "va": 640}
