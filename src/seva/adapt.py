@@ -21,10 +21,11 @@ kind                loss               selection        update
 ==================  =================  ===============  =======================
 
 "One step" is one SGD-with-momentum step on the mean loss of the selected
-samples. Selection is strict: a sample trains only if its loss is
-< rho * ln(C). Labels never enter the engine; ``run_stream`` is the
-evaluator that compares the engine's pre-update predictions against the
-hidden labels.
+samples: ``sgd_momentum_step``, the one optimizer, updates the network's
+flat ``theta`` and the engine's momentum buffer in place. Selection is
+strict: a sample trains only if its loss is < rho * ln(C). Labels never
+enter the engine; ``run_stream`` is the evaluator that compares the
+engine's pre-update predictions against the hidden labels.
 
 ``run_stream`` reads its stream once. A sequence has a known future: its
 inputs go to the engine first, with ``replay(inputs)``. Any other iterable
@@ -66,14 +67,12 @@ from .core_math import AugmentedEntropyLoss, DiagCovariance, EntropyLoss
 from .model import (
     LayerCache,
     ToyNetwork,
-    adaptable_params,
     backward_adaptable,
     calibrate_covariance,
     check_input,
     forward_features_batch,
     forward_stem,
     forward_with_caches,
-    set_adaptable_params,
 )
 from .rng import substream
 
@@ -277,17 +276,14 @@ def sgd_momentum_step(
     velocity: np.ndarray,
     lr: float,
     momentum: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """v <- momentum * v + g; theta <- theta - lr * v; returns (theta, v).
-    No dampening, no Nesterov."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != velocity.shape:
-        raise ValueError(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, velocity {velocity.shape}"
-        )
-    velocity = momentum * velocity + grads
-    return params - lr * velocity, velocity
+) -> None:
+    """In place: v <- momentum * v + g; theta <- theta - lr * v, on the
+    float64 arrays ``params`` and ``velocity``. No dampening, no Nesterov."""
+    if params.shape != np.shape(grads) or params.shape != velocity.shape:
+        raise ValueError(f"shape mismatch: params {params.shape}, grads {np.shape(grads)}, velocity {velocity.shape}")
+    velocity *= momentum
+    velocity += grads
+    params -= lr * velocity
 
 
 class AdaptEngine:
@@ -307,7 +303,7 @@ class AdaptEngine:
         self.net = net
         self.method = method
         self.threshold = threshold_default(net.head.n_classes, method.threshold_rho)
-        self.velocity = np.zeros_like(adaptable_params(net))  # momentum buffer, shaped like the flat parameters
+        self.velocity = np.zeros_like(net.theta)  # momentum buffer
         self.counters = Counters()
         self._va_rng = substream(seed, "vicinal-rounds")
         self._idle_steps = 0  # steps in a row without an update
@@ -341,11 +337,7 @@ class AdaptEngine:
         if not np.isfinite(grads).all():
             self.counters.n_skipped_steps += 1
             return
-        params = adaptable_params(self.net)
-        new_params, self.velocity = sgd_momentum_step(
-            params, grads, self.velocity, self.method.lr, self.method.momentum
-        )
-        set_adaptable_params(self.net, new_params)
+        sgd_momentum_step(self.net.theta, grads, self.velocity, self.method.lr, self.method.momentum)
         self.counters.n_optimizer_steps += 1
 
     def replay(self, inputs) -> None:

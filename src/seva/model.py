@@ -26,6 +26,14 @@ recomputing them, with the same bits. A network without layers has no stem.
 ``forward_stem`` and ``forward_features_batch`` also take a (k, n, d_in)
 stack of equal batches: every step works over the leading axes and
 ``matmul`` takes a stack slice by slice, so each batch gets its own bits.
+
+All adaptable state is one flat float64 vector, ``ToyNetwork.theta``: layer
+by layer, that layer's gamma then its beta. An optimizer updates it in
+place. Forward and backward take each layer's (gamma, beta) as views of
+``theta`` at call time and store none, so ``dataclasses.replace(net,
+theta=net.theta.copy())`` is a network that adapts on its own. A layer
+normalizes inside its matmul's output, then applies the affine and the
+activation in place on one fresh array.
 """
 
 from __future__ import annotations
@@ -64,12 +72,11 @@ ACTIVATIONS = {
 
 @dataclass
 class NormAffineLayer:
-    """Frozen linear map + group norm with adaptable per-channel affine."""
+    """Frozen linear map + group norm; its per-channel affine lives in
+    ``ToyNetwork.theta``."""
 
     weight: np.ndarray  # (c_out, c_in), frozen after construction
     groups: int
-    gamma: np.ndarray  # (c_out,)
-    beta: np.ndarray  # (c_out,)
 
     @property
     def channels(self) -> int:
@@ -82,6 +89,7 @@ class ToyNetwork:
     head: ClassifierHead
     d_in: int
     feature_dim: int
+    theta: np.ndarray  # (2 * d * len(layers),) every layer's gamma then beta
     activation: str = "tanh"
     seed: int = 0
 
@@ -124,11 +132,18 @@ def build_network(
     for l in range(n_layers):
         gen = substream(seed, "layer", l)
         w = gen.standard_normal((d, c_in)) / np.sqrt(c_in)
-        layers.append(NormAffineLayer(w, groups, np.ones(d), np.zeros(d)))
+        layers.append(NormAffineLayer(w, groups))
         c_in = d
     gen = substream(seed, "head")
     head = ClassifierHead(gen.standard_normal((C, d)) / np.sqrt(d), np.zeros(C))
-    return ToyNetwork(layers, head, d_in, d, activation, seed)
+    theta = np.tile(np.concatenate([np.ones(d), np.zeros(d)]), n_layers)
+    return ToyNetwork(layers, head, d_in, d, theta, activation, seed)
+
+
+def _affine(net: ToyNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(layers, d) views of ``net.theta``: every layer's gamma, every layer's beta."""
+    rows = net.theta.reshape(-1, net.feature_dim)
+    return rows[0::2], rows[1::2]
 
 
 def _forward(net: ToyNetwork, X, keep_caches: bool, stem=None, stem_only: bool = False):
@@ -137,20 +152,22 @@ def _forward(net: ToyNetwork, X, keep_caches: bool, stem=None, stem_only: bool =
     act, _ = ACTIVATIONS[net.activation]
     caches: list[LayerCache] = []
     v = X
-    for layer in net.layers:
+    for layer, gamma, beta in zip(net.layers, *_affine(net)):
         if stem is None:
-            h = v @ layer.weight.T
-            k = h.shape[-1] // layer.groups
-            grouped = h.reshape(*h.shape[:-1], layer.groups, k)
-            dev = grouped - np.add.reduce(grouped, axis=-1, keepdims=True) / k
-            var = np.add.reduce(dev * dev, axis=-1) / k  # population variance
+            normalized = v @ layer.weight.T
+            k = normalized.shape[-1] // layer.groups
+            grouped = normalized.reshape(*normalized.shape[:-1], layer.groups, k)
+            grouped -= np.add.reduce(grouped, axis=-1, keepdims=True) / k  # deviations
+            var = np.add.reduce(grouped * grouped, axis=-1) / k  # population variance
             inv = 1.0 / np.sqrt(var + NORM_EPS)
-            normalized = (dev * inv[..., None]).reshape(h.shape)
+            grouped *= inv[..., None]
             if stem_only:
                 return normalized, inv
         else:
             (normalized, inv), stem = stem, None
-        v = act(layer.gamma * normalized + layer.beta)
+        v = gamma * normalized
+        v += beta
+        act(v, out=v)
         if keep_caches:
             caches.append(LayerCache(normalized=normalized, inv_std=inv, output=v))
     return v, caches
@@ -220,7 +237,8 @@ def backward_adaptable(net: ToyNetwork, caches: list[LayerCache], d_feature: np.
     _, d_act = ACTIVATIONS[net.activation]
     grads: list[np.ndarray] = []
     delta = np.asarray(d_feature, dtype=np.float64)
-    for depth, (layer, cache) in enumerate(zip(reversed(net.layers), reversed(caches)), 1):
+    layers = zip(reversed(net.layers), _affine(net)[0][::-1], reversed(caches))
+    for depth, (layer, gamma, cache) in enumerate(layers, 1):
         d_pre = delta * d_act(cache.output)
         grads.append(np.add.reduce(d_pre, axis=0))  # d_beta
         grads.append(np.add.reduce(d_pre * cache.normalized, axis=0))  # d_gamma
@@ -229,7 +247,7 @@ def backward_adaptable(net: ToyNetwork, caches: list[LayerCache], d_feature: np.
         # group-norm backward: dh = inv * (dn - mean(dn) - nh * mean(dn * nh))
         n, c = d_pre.shape
         k = c // layer.groups
-        dn = (d_pre * layer.gamma).reshape(n, layer.groups, k)
+        dn = (d_pre * gamma).reshape(n, layer.groups, k)
         nh = cache.normalized.reshape(n, layer.groups, k)
         mean_dn = np.add.reduce(dn, axis=2, keepdims=True) / k
         mean_dn_nh = np.add.reduce(dn * nh, axis=2, keepdims=True) / k
@@ -240,25 +258,16 @@ def backward_adaptable(net: ToyNetwork, caches: list[LayerCache], d_feature: np.
 
 
 def adaptable_params(net: ToyNetwork) -> np.ndarray:
-    """Flat copy of all (gamma, beta) entries, layer by layer."""
-    parts = []
-    for layer in net.layers:
-        parts.append(layer.gamma)
-        parts.append(layer.beta)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """A copy of ``net.theta``: every layer's gamma then beta."""
+    return net.theta.copy()
 
 
 def set_adaptable_params(net: ToyNetwork, vec) -> None:
+    """Write ``vec`` into ``net.theta``, in place."""
     vec = np.asarray(vec, dtype=np.float64)
-    expected = sum(2 * layer.channels for layer in net.layers)
-    if vec.shape != (expected,):
-        raise DimensionMismatch(f"parameter vector has shape {vec.shape}, expected ({expected},)")
-    pos = 0
-    for layer in net.layers:
-        c = layer.channels
-        layer.gamma = vec[pos : pos + c].copy()
-        layer.beta = vec[pos + c : pos + 2 * c].copy()
-        pos += 2 * c
+    if vec.shape != net.theta.shape:
+        raise DimensionMismatch(f"parameter vector has shape {vec.shape}, expected {net.theta.shape}")
+    net.theta[...] = vec
 
 
 def calibrate_covariance(net: ToyNetwork, calibration_inputs, scale: float) -> DiagCovariance:

@@ -16,15 +16,16 @@ each is the base64 of the little-endian bytes of one array over the whole
 stream (dtypes in ``TRACE_COLUMNS``, which the header repeats), so floats
 are stored exactly, NaN and infinities included, and none is formatted as
 text. Its ``rows`` list gives each step's sample count, and ``n_selected``
-and ``updated`` are per-step lists. ``read_trace`` is the decoder.
+and ``updated`` are per-step lists. Every line is strict JSON: the summary
+writes a non-finite float as null. ``read_trace`` is the decoder.
 """
 
 from __future__ import annotations
 
 import base64
-import copy
 import csv
 import json
+import math
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
@@ -186,12 +187,13 @@ def run_cell(
     """Execute one (method, seed) cell on a ``build_world_and_model`` result
     and the seed's ``build_stream``.
 
-    The engine adapts a deep copy of the built network (adaptation replaces
-    its gamma/beta arrays), so no cell sees another cell's updates.
+    The engine adapts the built network with its own copy of ``theta``, the
+    only state adaptation changes; the frozen layers and head are shared,
+    not deep-copied. No cell sees another cell's updates.
     """
     _, net, clean_acc = built
     engine = AdaptEngine(
-        copy.deepcopy(net),
+        replace(net, theta=net.theta.copy()),
         method,
         seed=derive_seed(cfg.master_seed, "engine", run_seed, name),
     )
@@ -237,7 +239,7 @@ def _cell_major(items: list, n_cells: int) -> list:
 
 
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _encode_column(column: np.ndarray, dtype: str) -> str:
@@ -247,8 +249,8 @@ def _encode_column(column: np.ndarray, dtype: str) -> str:
 
 
 def trace_lines(result: CellResult, cfg: RunConfig) -> list[str]:
-    """Deterministic JSONL records for one cell (no wall-clock fields): the
-    header, the steps record and the summary."""
+    """Strict-JSON records for one cell, deterministic (no wall-clock fields):
+    header, steps and summary, whose non-finite floats are written as null."""
     header = {
         "record": "header",
         "schema": TRACE_SCHEMA_VERSION,
@@ -271,7 +273,8 @@ def trace_lines(result: CellResult, cfg: RunConfig) -> list[str]:
     for name, dtype in TRACE_COLUMNS.items():
         column = np.concatenate(trace.labels) if name == "labels" else trace.concat(name)
         steps[name] = _encode_column(column, dtype)
-    return [_json_line(header), _json_line(steps), _json_line({"record": "summary", **result.summary})]
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in result.summary.items()}
+    return [_json_line(header), _json_line(steps), _json_line({"record": "summary", **summary})]
 
 
 def write_trace(result: CellResult, cfg: RunConfig, path: Path) -> None:

@@ -332,7 +332,7 @@ def fit_head(
     Nearest-class-mean initialization in feature space (head rows are the
     class prototypes) followed by full-batch softmax-regression refinement;
     returns the fitted head and its clean held-out accuracy. The network's
-    extractor is used frozen, at its current (gamma, beta). Weight decay
+    extractor is used frozen, at its current ``theta``. Weight decay
     keeps the prototype norms moderate so prediction confidence stays
     calibrated rather than saturating.
     """
@@ -365,24 +365,20 @@ def _refine_head(
     softmax-regression steps."""
     d = F.shape[1]
     means = np.stack([F[y_train == c].mean(axis=0) for c in range(C)])
-    A = means.copy()
-    b = -0.5 * (means * means).sum(axis=1)
-
-    params = np.concatenate([A.ravel(), b])
+    params = np.concatenate([means.ravel(), -0.5 * (means * means).sum(axis=1)])
+    A, b = params[: C * d].reshape(C, d), params[C * d :]  # views: each step moves them
     velocity = np.zeros_like(params)
     n = F.shape[0]
     rows = np.arange(n)
     for _ in range(refine_steps):
-        A = params[: C * d].reshape(C, d)
-        b = params[C * d :]
         L = F @ A.T
         L += b
         G = softmax_rows(L)
         G[rows, y_train] -= 1.0  # softmax minus one-hot labels, the residual
         gA = G.T @ F / n + weight_decay * A
         gb = G.mean(axis=0)
-        params, velocity = sgd_momentum_step(params, np.concatenate([gA.ravel(), gb]), velocity, lr, momentum)
-    return ClassifierHead(params[: C * d].reshape(C, d), params[C * d :])
+        sgd_momentum_step(params, np.concatenate([gA.ravel(), gb]), velocity, lr, momentum)
+    return ClassifierHead(A, b)
 
 
 @dataclass(frozen=True)

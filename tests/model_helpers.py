@@ -1,5 +1,6 @@
-"""Network helpers that only tests need: the flat parameter layout, the
-batch-mean loss and its parameter gradient, and the construction spec."""
+"""Network helpers that only tests need: the flat parameter layout and
+each layer's (gamma, beta) in it, the batch-mean loss and its parameter
+gradient, and the construction spec."""
 
 import numpy as np
 
@@ -32,6 +33,13 @@ def adaptable_layout(net: ToyNetwork) -> tuple[tuple[int, str, int], ...]:
         layout.append((idx, "gamma", layer.channels))
         layout.append((idx, "beta", layer.channels))
     return tuple(layout)
+
+
+def layer_affines(net: ToyNetwork) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (gamma, beta), as views of ``net.theta`` cut along
+    ``adaptable_layout``."""
+    parts = np.split(net.theta, np.cumsum([size for _, _, size in adaptable_layout(net)])[:-1])
+    return list(zip(parts[0::2], parts[1::2]))
 
 
 def batch_loss(net: ToyNetwork, X, loss) -> float:

@@ -33,9 +33,16 @@ from seva.core_math import (
     softmax_rows,
 )
 from seva.config import load_config, resolve_config
-from seva.model import adaptable_params, build_network, calibrate_covariance, forward_features_batch, forward_stem
+from seva.model import (
+    adaptable_params,
+    build_network,
+    calibrate_covariance,
+    forward_features_batch,
+    forward_stem,
+    set_adaptable_params,
+)
 from seva.rng import derive_seed
-from seva.runner import build_stream, build_world_and_model
+from seva.runner import build_stream, build_world_and_model, run_cell
 from seva.scenarios import Batch
 from model_helpers import batch_loss, grad_loss_wrt_adaptable
 from test_trace_digests import GRID as DIGEST_GRID
@@ -109,32 +116,43 @@ class TestThresholdDefault:
 
 
 class TestSgdMomentum:
+    """The one optimizer updates its parameter and momentum arrays in place."""
+
     def test_zero_momentum_is_plain_sgd(self):
         params = np.array([1.0, -2.0])
         grads = np.array([0.5, 0.25])
-        new, _ = sgd_momentum_step(params, grads, np.zeros_like(params), lr=1.0, momentum=0.0)
-        np.testing.assert_array_equal(new, params - grads)
+        expected = params - grads
+        assert sgd_momentum_step(params, grads, np.zeros_like(params), lr=1.0, momentum=0.0) is None
+        np.testing.assert_array_equal(params, expected)
 
     def test_velocity_decays_geometrically(self):
         params = np.zeros(3)
         velocity = np.array([1.0, 2.0, -1.0])
+        buffer = velocity
         for _ in range(5):
-            prev = velocity
-            params, velocity = sgd_momentum_step(params, np.zeros(3), velocity, 0.1, 0.9)
+            prev = velocity.copy()
+            sgd_momentum_step(params, np.zeros(3), velocity, 0.1, 0.9)
             np.testing.assert_allclose(velocity, 0.9 * prev, rtol=1e-15)
+        assert velocity is buffer
 
     def test_two_steps_constant_gradient(self):
         # v1 = g, step 0.1 g; v2 = 1.9 g, step 0.19 g
         params = np.array([1.0])
         g = np.array([2.0])
-        p1, velocity = sgd_momentum_step(params, g, np.zeros_like(params), 0.1, 0.9)
-        assert p1[0] == pytest.approx(1.0 - 0.1 * 2.0)
-        p2, velocity = sgd_momentum_step(p1, g, velocity, 0.1, 0.9)
-        assert p2[0] == pytest.approx(p1[0] - 0.19 * 2.0)
+        velocity = np.zeros_like(params)
+        sgd_momentum_step(params, g, velocity, 0.1, 0.9)
+        assert params[0] == pytest.approx(1.0 - 0.1 * 2.0)
+        p1 = params[0]
+        sgd_momentum_step(params, g, velocity, 0.1, 0.9)
+        assert params[0] == pytest.approx(p1 - 0.19 * 2.0)
+        assert velocity[0] == pytest.approx(1.9 * 2.0)
 
     def test_shape_mismatch(self):
+        params, velocity = np.ones(3), np.ones(3)
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_momentum_step(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.9)
+            sgd_momentum_step(params, np.zeros(2), velocity, 0.1, 0.9)
+        np.testing.assert_array_equal(params, np.ones(3))
+        np.testing.assert_array_equal(velocity, np.ones(3))
 
 
 class TestMethodConfig:
@@ -250,8 +268,6 @@ class TestAdaptStep:
         X = stream[0].inputs
         rep = engine.adapt_step(X)
         # recompute predictions at the saved pre-step parameters
-        from seva.model import set_adaptable_params
-
         after = adaptable_params(net).copy()
         set_adaptable_params(net, before)
         feats = forward_features_batch(net, X)
@@ -360,14 +376,11 @@ class TestExplicitVa:
         got = adaptable_params(net).copy()
 
         net2, _ = small_setup(seed=7)
-        from seva.model import set_adaptable_params
-
-        velocity = np.zeros_like(adaptable_params(net2))
+        velocity = np.zeros_like(net2.theta)
         for _ in range(2):
             g = grad_loss_wrt_adaptable(net2, X, EntropyLoss(net2.head))
-            new, velocity = sgd_momentum_step(adaptable_params(net2), g, velocity, 0.01, 0.9)
-            set_adaptable_params(net2, new)
-        np.testing.assert_allclose(got, adaptable_params(net2), atol=1e-12)
+            sgd_momentum_step(net2.theta, g, velocity, 0.01, 0.9)
+        np.testing.assert_allclose(got, net2.theta, atol=1e-12)
 
 
 class TestRunStream:
@@ -463,6 +476,55 @@ class TestRunStream:
         assert [report_bytes(r) for r in loaded.steps] == [report_bytes(r) for r in listed.steps]
         assert [y.tobytes() for y in loaded.labels] == [y.tobytes() for y in listed.labels]
         assert loaded.accuracy == listed.accuracy
+
+
+class TestParameterSnapshots:
+    """The protocol a caller that checks an engine's steps relies on: a
+    snapshot ``adaptable_params(engine.net)`` is a copy of ``theta`` that
+    later steps leave alone, and writing it into a copy of the network
+    reproduces that step's pre-update features bit for bit."""
+
+    def test_snapshots_replay_each_steps_pre_update_features(self, monkeypatch):
+        net, stream = small_setup(seed=30)
+        engine = AdaptEngine(net, MethodConfig(kind="seva", threshold_rho=10.0, lr=0.05), seed=4)
+        engine.calibrate(np.concatenate([b.inputs for b in stream]))
+        forward = seva.adapt.forward_with_caches
+        seen = []
+
+        def spy(*args):
+            feats, caches = forward(*args)
+            seen.append(feats.copy())
+            return feats, caches
+
+        monkeypatch.setattr(seva.adapt, "forward_with_caches", spy)
+        snapshots, features = [], []
+        for k, batch in enumerate(stream):
+            snap = adaptable_params(engine.net)
+            assert snap.tobytes() == engine.net.theta.tobytes()
+            assert not np.shares_memory(snap, engine.net.theta)
+            snapshots.append((snap, snap.copy()))
+            seen.clear()
+            assert engine.adapt_step(batch.inputs).updated
+            features.append(seen[0])
+        assert engine.counters.n_optimizer_steps == len(stream)
+        for (snap, frozen), batch, feats in zip(snapshots, stream, features):
+            assert snap.tobytes() == frozen.tobytes()  # later steps left it alone
+            replay = copy.deepcopy(engine.net)
+            set_adaptable_params(replay, snap)
+            assert forward_features_batch(replay, batch.inputs).tobytes() == feats.tobytes()
+        assert not np.array_equal(snapshots[0][0], engine.net.theta)
+
+    def test_run_cell_leaves_the_built_theta_untouched(self):
+        cfg = resolve_config(DIGEST_GRID)
+        built = build_world_and_model(cfg)
+        theta = built[1].theta
+        before = theta.copy()
+        stream = build_stream(cfg, built[0], 0)
+        steps = {name: run_cell(cfg, built, stream, name, method, 0).counters["n_optimizer_steps"]
+                 for name, method in cfg.methods()}
+        assert all(n > 0 for name, n in steps.items() if name != "no_adapt")
+        assert built[1].theta is theta
+        assert theta.tobytes() == before.tobytes()
 
 
 class TestNonFiniteGradient:

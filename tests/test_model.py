@@ -19,7 +19,7 @@ from seva.model import (
     forward_with_caches,
     set_adaptable_params,
 )
-from model_helpers import adaptable_layout, batch_loss, grad_loss_wrt_adaptable, network_spec
+from model_helpers import adaptable_layout, batch_loss, grad_loss_wrt_adaptable, layer_affines, network_spec
 
 
 def feature(net, x):
@@ -35,7 +35,7 @@ def probs(net, X):
 def reference_forward(net, x):
     """Loop-based re-implementation of the forward pass (independent route)."""
     v = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
+    for layer, (gamma, beta) in zip(net.layers, layer_affines(net)):
         h = np.array([float(layer.weight[i] @ v) for i in range(layer.channels)])
         c = layer.channels
         size = c // layer.groups
@@ -45,7 +45,7 @@ def reference_forward(net, x):
             mean = sum(h[sl]) / size
             var = sum((h[sl] - mean) ** 2) / size
             out[sl] = (h[sl] - mean) / np.sqrt(var + NORM_EPS)
-        v = np.tanh(layer.gamma * out + layer.beta)
+        v = np.tanh(gamma * out + beta)
     return v
 
 
@@ -102,9 +102,10 @@ class TestBuild:
             build_network(seed=1, d_in=4, d=6, C=3, n_layers=1, groups=4)
 
     def test_initial_affine_is_identity(self, net):
-        for layer in net.layers:
-            np.testing.assert_array_equal(layer.gamma, np.ones(8))
-            np.testing.assert_array_equal(layer.beta, np.zeros(8))
+        assert net.theta.shape == (32,)
+        for gamma, beta in layer_affines(net):
+            np.testing.assert_array_equal(gamma, np.ones(8))
+            np.testing.assert_array_equal(beta, np.zeros(8))
 
     def test_spec_round_trip(self, net):
         spec = network_spec(net)
@@ -146,7 +147,7 @@ class TestForward:
         # W @ 0 = 0, a constant group normalizes to 0, so the first block
         # emits tanh(beta); the reference loop confirms the composition
         beta = np.linspace(-0.5, 0.5, 8)
-        net.layers[0].beta = beta.copy()
+        layer_affines(net)[0][1][:] = beta
         x = np.zeros(6)
         feats = feature(net, x)
         np.testing.assert_allclose(feats, reference_forward(net, x), atol=1e-12)
@@ -314,7 +315,7 @@ def legacy_forward_with_caches(net, X):
     X = np.asarray(X, dtype=np.float64)
     caches = []
     v = X
-    for layer in net.layers:
+    for layer, (gamma, beta) in zip(net.layers, layer_affines(net)):
         h = v @ layer.weight.T
         n, c = h.shape
         grouped = h.reshape(n, layer.groups, c // layer.groups)
@@ -324,7 +325,7 @@ def legacy_forward_with_caches(net, X):
         normalized = (h - np.repeat(mean, c // layer.groups, axis=1)) * np.repeat(
             inv, c // layer.groups, axis=1
         )
-        v = np.tanh(layer.gamma * normalized + layer.beta)
+        v = np.tanh(gamma * normalized + beta)
         caches.append(LayerCache(normalized=normalized, inv_std=inv, output=v))
     return v, caches
 
@@ -333,7 +334,7 @@ def legacy_backward_adaptable(net, caches, d_feature):
     """The group-norm backward as written with ``.mean`` and ``.sum``."""
     grads = []
     delta = np.asarray(d_feature, dtype=np.float64)
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+    for layer, (gamma, _), cache in zip(reversed(net.layers), reversed(layer_affines(net)), reversed(caches)):
         g = layer.groups
         c = layer.channels
         d_pre = delta * (1.0 - cache.output * cache.output)
@@ -341,7 +342,7 @@ def legacy_backward_adaptable(net, caches, d_feature):
         d_beta = d_pre.sum(axis=0)
         grads.append(d_beta)
         grads.append(d_gamma)
-        d_norm = d_pre * layer.gamma
+        d_norm = d_pre * gamma
         n = delta.shape[0]
         dn = d_norm.reshape(n, g, c // g)
         nh = cache.normalized.reshape(n, g, c // g)

@@ -7,6 +7,7 @@ the per-step lists, header and summary must match the cell they came from.
 
 import copy
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -88,9 +89,11 @@ def assert_round_trip(result: CellResult, cfg, path):
                 assert got.tobytes() == getattr(step, name).tobytes()
     assert decoded.header["schema"] == TRACE_SCHEMA_VERSION
     assert (decoded.header["method"], decoded.header["seed"]) == (result.name, result.seed)
-    # compared as JSON text, where a NaN mean loss equals itself
-    written = json.dumps({"record": "summary", **result.summary}, sort_keys=True)
-    assert json.dumps(decoded.summary, sort_keys=True) == written
+    # the summary in its strict form: a non-finite float reads back as None
+    strict = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in result.summary.items()}
+    assert decoded.summary == {"record": "summary", **strict}
+    for line in path.read_text().splitlines():
+        strict_json(line)
     return decoded
 
 
@@ -120,9 +123,17 @@ def test_nan_input_round_trips_and_the_steps_line_is_strict_json(cfg, built, tmp
     assert np.isnan(losses).any()
     path = tmp_path / "nan.jsonl"
     assert_round_trip(result, cfg, path)
-    header, steps, _ = path.read_text().splitlines()
-    strict_json(header)
-    strict_json(steps)
+    assert strict_json(path.read_text().splitlines()[2])["mean_loss"] is None
+    assert np.isnan(result.summary["mean_loss"])  # the CSV row keeps the float
+
+
+def test_a_non_finite_header_value_fails_loudly(cfg, built, tmp_path):
+    # only the summary maps non-finite floats to null; anywhere else one raises
+    stream = build_stream(cfg, built[0], 0)
+    name, method = next((n, m) for n, m in cfg.methods() if n == "no_adapt")
+    result = run_cell(cfg, built, stream, name, method, 0)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_trace(replace(result, clean_accuracy=math.nan), cfg, tmp_path / "nan_header.jsonl")
 
 
 def test_special_floats_keep_their_bits(cfg, built, tmp_path):
