@@ -32,17 +32,17 @@ relative to the true mean prediction, and the sampled mean entropy can
 genuinely exceed the closed form by a few percent. ``bound_sweep``
 therefore reports violations rather than hiding them, and the committed
 default instance set (see the run-config ``mc.seed``) passes in full.
-Each instance samples its own seeded generator, so ``bound_sweep`` runs
-them on one thread per CPU (the generator and NumPy's array loops release
-the interpreter lock), each thread with its own working set of a few
-blocks, and still reports them in instance order, bit for bit as a serial
-loop would.
+Each instance samples its own seeded generator, so ``bound_sweep`` samples
+them on a pool of one thread per CPU (the generator and NumPy's array loops
+release the interpreter lock), each thread with its own working set of a
+few blocks, and still reports them in instance order, bit for bit as a
+serial loop would.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,59 +329,24 @@ def bound_sweep(
 
     Instance i draws both its parameters and its Monte-Carlo noise from the
     (master_seed, "bounds", i) substream, so the sweep is reproducible and
-    its instances are evaluated concurrently: one thread per CPU, the
-    caller's among them. Each thread claims the next instance under a lock
-    and samples it on that instance's own generator, so the reports are
-    the serial loop's bit for bit. Whichever thread finishes the instance
-    due next reports it and every finished one after it, under the lock,
-    so ``bound_gap_report`` is called once per instance, in instance order.
-    After a failure no thread claims another instance, and the first
-    exception (an interrupt included) is raised once every helper has
-    been joined.
+    its instances are sampled concurrently, on a pool of one thread per
+    CPU, each instance on its own generator: the reports are the serial
+    loop's bit for bit. The caller waits for the instances in order and
+    calls ``bound_gap_report`` on each, once, in instance order. When an
+    instance fails (an interrupt included), the caller raises its exception
+    on reaching it, that is once every earlier instance has finished; the
+    instances that have not started by then are cancelled, and the ones
+    running are waited for.
     """
-    lock = threading.Lock()
-    claimed = 0
-    finished: dict[int, tuple] = {}
-    reports: list[BoundGapReport] = []
-    failures: list[BaseException] = []
 
-    def fail(exc: BaseException) -> None:
-        with lock:
-            failures.append(exc)
+    def sample(i: int) -> tuple:
+        gen = substream(master_seed, "bounds", i)
+        head, z, sigma = random_instance(gen, c_max=c_max, d_max=d_max, sigma_scale=sigma_scale)
+        return head, z, sigma, mc_entropy(head, z, sigma, n_samples, gen)
 
-    def work() -> None:
-        nonlocal claimed
-        try:
-            while True:
-                with lock:
-                    if failures or claimed >= n_instances:
-                        return
-                    i = claimed
-                    claimed += 1
-                gen = substream(master_seed, "bounds", i)
-                head, z, sigma = random_instance(gen, c_max=c_max, d_max=d_max, sigma_scale=sigma_scale)
-                mc = mc_entropy(head, z, sigma, n_samples, gen)
-                with lock:
-                    finished[i] = (head, z, sigma, mc)
-                    while len(reports) in finished:
-                        reports.append(bound_gap_report(*finished.pop(len(reports))))
-        except BaseException as exc:  # re-raised in the caller
-            fail(exc)
-
-    n_helpers = _n_threads(n_instances) - 1
-    helpers = [threading.Thread(target=work, name=f"bound_sweep-{k}") for k in range(n_helpers)]
+    pool = ThreadPoolExecutor(_n_threads(n_instances), thread_name_prefix="bound_sweep")
     try:
-        for t in helpers:
-            t.start()
-        work()
-    except BaseException as exc:  # a helper that did not start, or an interrupt
-        fail(exc)
-    for t in helpers:
-        while t.is_alive():
-            try:
-                t.join()
-            except BaseException as exc:  # an interrupt while waiting
-                fail(exc)
-    if failures:
-        raise failures[0]
-    return reports
+        futures = [pool.submit(sample, i) for i in range(n_instances)]
+        return [bound_gap_report(*f.result()) for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)

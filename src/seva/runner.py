@@ -298,9 +298,9 @@ class TraceFile:
 
 
 def read_trace(path: str | Path) -> TraceFile:
-    """Decode one trace written by ``write_trace``; a file of another schema
-    or with a column whose length is not the sum of ``rows`` raises
-    ValueError."""
+    """Decode one trace written by ``write_trace``; a file of another schema,
+    with a steps record that lacks ``rows`` or a column the header names, or
+    with a column whose length is not the sum of ``rows`` raises ValueError."""
     records = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
     schema = records[0].get("schema") if records else None
     if schema != TRACE_SCHEMA_VERSION:
@@ -308,6 +308,9 @@ def read_trace(path: str | Path) -> TraceFile:
     if [r.get("record") for r in records] != ["header", "steps", "summary"]:
         raise ValueError(f"{path}: expected a header, a steps and a summary record")
     header, steps, summary = records
+    for field in ["rows", *header["columns"]]:
+        if field not in steps:
+            raise ValueError(f"{path}: the steps record has no '{field}'")
     n_rows = sum(steps["rows"])
     columns = {}
     for name, dtype in header["columns"].items():

@@ -489,6 +489,30 @@ class TestConcurrentSweep:
             bound_sweep(self.SEED, n_instances=50, n_samples=1000)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("exc", [Boom, KeyboardInterrupt])
+    def test_a_failing_report_cancels_the_sweep_and_joins_its_threads(self, monkeypatch, exc):
+        original_report, original_mc = oracle.bound_gap_report, oracle.mc_entropy
+        reported, sampled = itertools.count(), itertools.count()
+
+        def report(*args):
+            if next(reported) == 3:
+                raise exc("report 3 failed")
+            return original_report(*args)
+
+        def counted(*args):
+            next(sampled)
+            return original_mc(*args)
+
+        monkeypatch.setattr(oracle, "bound_gap_report", report)
+        monkeypatch.setattr(oracle, "mc_entropy", counted)
+        before = threading.active_count()
+        with pytest.raises(exc, match="report 3 failed"):
+            bound_sweep(self.SEED, n_instances=50, n_samples=10_000)
+        assert threading.active_count() == before
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("bound_sweep")]
+        # the instances not started when report 3 failed were cancelled
+        assert next(sampled) < 50
+
     def test_no_instance_is_claimed_after_a_failure(self, monkeypatch):
         original = oracle.mc_entropy
         tickets = itertools.count()

@@ -8,6 +8,7 @@ the per-step lists, header and summary must match the cell they came from.
 import copy
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -209,6 +210,14 @@ def test_read_trace_rejects_other_layouts(cfg, built, tmp_path):
     bad.write_text("\n".join([header, json.dumps(short), summary]) + "\n")
     with pytest.raises(ValueError, match="values for"):
         read_trace(bad)
+
+    for field in ["losses", "rows"]:
+        lacking = json.loads(steps)
+        del lacking[field]
+        bad = tmp_path / f"no_{field}.jsonl"
+        bad.write_text("\n".join([header, json.dumps(lacking), summary]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: the steps record has no '{field}'")):
+            read_trace(bad)
 
     missing = tmp_path / "missing.jsonl"
     missing.write_text("\n".join([header, summary]) + "\n")
